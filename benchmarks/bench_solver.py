@@ -146,6 +146,14 @@ def test_pipeline_reduces_sat_core_solves(benchmark, workload):
     benchmark.extra_info["solves_on"] = on_solver.num_solves
     benchmark.extra_info["fast_path"] = on_solver.fast_path_answers
     benchmark.extra_info["paths"] = on_result.num_paths
+    # CDCL work counters of the pipelined run: deterministic for a
+    # serial exploration under a pinned PYTHONHASHSEED, so the counter
+    # gate (tools/bench_compare.py) pins them next to the path count.
+    sat_stats = on_solver.statistics
+    benchmark.extra_info["sat_propagations"] = sat_stats["propagations"]
+    benchmark.extra_info["sat_decisions"] = sat_stats["decisions"]
+    benchmark.extra_info["sat_conflicts"] = sat_stats["conflicts"]
+    benchmark.extra_info["sat_solves"] = sat_stats["solve_calls"]
 
 
 def test_pipeline_ablation_query_counts(benchmark):

@@ -331,6 +331,7 @@ class BitBlaster:
         q_ones = g.big_and(q)
         r_eq_a = g.big_and([g.iff(x, y) for x, y in zip(r, a)])
         constraint = g.mux(b_is_zero, g.and2(q_ones, r_eq_a), g.and2(exact, r_lt_b))
+        g.add_root(constraint)
         self.sat.add_clause([constraint])
         self._divrem_cache[key] = (q, r)
         return q, r

@@ -9,6 +9,14 @@ in terms of these gates.
 Literals follow the convention of :class:`repro.smt.sat.SatSolver`
 (signed non-zero ints).  Boolean constants are represented by a dedicated
 always-true variable so the gate code never needs special clause shapes.
+
+The builder also records each gate's fan-in and a list of *roots*:
+variables constrained outside any gate definition (the constant
+variable, and whatever the layers above assert or use as scope
+selectors — they must call :meth:`GateBuilder.add_root`).  The fan-in
+cone of a query's assumption variables plus the roots is closed under
+fan-in and holds every constrained variable, so it is a valid
+``active`` mask for :meth:`repro.smt.sat.SatSolver.solve`.
 """
 
 from __future__ import annotations
@@ -28,6 +36,14 @@ class GateBuilder:
         self._and_cache: dict[tuple[int, int], int] = {}
         self._xor_cache: dict[tuple[int, int], int] = {}
         self._mux_cache: dict[tuple[int, int, int], int] = {}
+        #: Gate variable -> its input variables.
+        self.fanin: dict[int, tuple[int, ...]] = {}
+        #: Variables constrained outside any gate definition.
+        self.roots: list[int] = [self.true_lit]
+        # Cone bitmasks of the variables asked for (assumptions, roots)
+        # and the union over the roots with the root count it covers.
+        self._cones: dict[int, int] = {}
+        self._roots_cone = (0, 0)
 
     @property
     def false_lit(self) -> int:
@@ -43,6 +59,54 @@ class GateBuilder:
     def const_value(self, lit: int) -> bool:
         """Value of a constant literal (only valid if :meth:`is_const`)."""
         return lit == self.true_lit
+
+    # ------------------------------------------------------------------
+    # Fan-in cones
+    # ------------------------------------------------------------------
+
+    def add_root(self, lit: int) -> None:
+        """Record that ``lit``'s variable is constrained outside a gate."""
+        self.roots.append(abs(lit))
+
+    def cone(self, var: int) -> int:
+        """Bitmask (bit ``v`` = variable ``v``) of ``var``'s fan-in cone.
+
+        Memoized per variable asked for, so the index grows with the
+        distinct assumption and root variables, not with the gates; a
+        walk stops at any input whose cone is already known.
+        """
+        mask = self._cones.get(var)
+        if mask is not None:
+            return mask
+        cones = self._cones
+        fanin = self.fanin
+        mask = 1 << var
+        stack = list(fanin.get(var, ()))
+        seen = set(stack)
+        while stack:
+            v = stack.pop()
+            known = cones.get(v)
+            if known is not None:
+                mask |= known
+                continue
+            mask |= 1 << v
+            for u in fanin.get(v, ()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        cones[var] = mask
+        return mask
+
+    def active_mask(self, lits) -> int:
+        """Cone of the literals' variables plus the roots' cone."""
+        count, mask = self._roots_cone
+        if count != len(self.roots):
+            for root in self.roots[count:]:
+                mask |= self.cone(root)
+            self._roots_cone = (len(self.roots), mask)
+        for lit in lits:
+            mask |= self.cone(abs(lit))
+        return mask
 
     # ------------------------------------------------------------------
     # Basic gates
@@ -68,6 +132,7 @@ class GateBuilder:
         self.sat.add_clause([-g, b])
         self.sat.add_clause([g, -a, -b])
         self._and_cache[key] = g
+        self.fanin[g] = (abs(a), abs(b))
         return g
 
     def or2(self, a: int, b: int) -> int:
@@ -97,6 +162,7 @@ class GateBuilder:
             self.sat.add_clause([g, -a, b])
             self.sat.add_clause([g, a, -b])
             self._xor_cache[key] = g
+            self.fanin[g] = (a, b)
             cached = g
         return -cached if flip else cached
 
@@ -134,6 +200,7 @@ class GateBuilder:
         self.sat.add_clause([-then_lit, -else_lit, g])
         self.sat.add_clause([then_lit, else_lit, -g])
         self._mux_cache[key] = g
+        self.fanin[g] = (abs(cond), abs(then_lit), abs(else_lit))
         return g
 
     # ------------------------------------------------------------------

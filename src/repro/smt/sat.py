@@ -10,6 +10,18 @@ appears as ``v`` (positive) or ``-v`` (negated).  The solver supports
 * incremental clause addition between ``solve`` calls,
 * solving under *assumptions* (the mechanism used by the SMT layer to
   implement push/pop and per-query path conditions),
+* *query-cone activation*: ``solve(assumptions, active=mask)`` only
+  propagates the clauses whose highest variable is set in the bitmask
+  and only decides active variables.  The caller promises that the
+  mask is closed under Tseitin fan-in and holds every variable
+  constrained outside a gate definition; then a conflict-free
+  assignment of the active variables extends to a model of the whole
+  database by evaluating the remaining gates, and UNSAT over a subset
+  of the clauses is UNSAT over all of them.  Without a mask every
+  variable is active,
+* binary clauses in per-literal implication lists and longer clauses
+  on ``(blocker, clause)`` watchers, so a watcher whose blocker is
+  already true is skipped without touching the clause,
 * assumption-level UNSAT cores: after an UNSAT answer under
   assumptions, :meth:`unsat_core` names the subset of assumption
   literals the final conflict actually used (MiniSat's
@@ -20,8 +32,11 @@ appears as ``v`` (positive) or ``-v`` (negated).  The solver supports
   glue-aware restart trigger on top of the Luby schedule,
 * shared-assumption-prefix trail reuse: consecutive ``solve`` calls
   whose assumption lists share an ordered prefix keep the trail
-  segment that prefix justifies instead of cancelling to level 0,
-* VSIDS variable activities with exponential decay and phase saving,
+  segment that prefix justifies instead of cancelling to level 0; the
+  clauses the new mask activates are rescanned against the kept
+  segment,
+* VSIDS variable activities with exponential decay and phase saving;
+  a variable a SAT answer leaves unassigned reads as its saved phase,
 * per-call conflict/propagation/wall-clock *budgets*: ``solve`` returns
   :data:`UNKNOWN` instead of running forever on an adversarial query,
   leaving the solver consistent for the next call (sound degradation —
@@ -33,6 +48,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = ["SatSolver", "SAT", "UNSAT", "UNKNOWN"]
@@ -55,18 +71,25 @@ _MID_LBD = 6
 _LBD_WINDOW = 50
 #: Glucose's K: restart when 0.8 * recent-avg-LBD > global-avg-LBD.
 _GLUE_K = 0.8
+#: ``format(mask, "b")`` digits to per-variable active flags.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _Clause:
-    """A clause; the first two literals are the watched ones."""
+    """A clause; the first two literals are the watched ones.
 
-    __slots__ = ("lits", "learned", "activity", "lbd")
+    ``top`` is the highest variable: the clause is active in a solve
+    iff ``top`` is.  For an intact Tseitin clause that is its gate.
+    """
+
+    __slots__ = ("lits", "learned", "activity", "lbd", "top")
 
     def __init__(self, lits: list[int], learned: bool, lbd: int = 0):
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
         self.lbd = lbd
+        self.top = max(map(abs, lits))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clause({self.lits}{' L' if self.learned else ''})"
@@ -100,9 +123,22 @@ class SatSolver:
         self._reason: list[Optional[_Clause]] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
-        # Watch lists keyed by literal index (2*v for v, 2*v+1 for -v).
-        self._watches: list[list[_Clause]] = [[], []]
-        self._clauses: list[_Clause] = []
+        # Keyed by literal index (2*v for v, 2*v+1 for -v) and visited
+        # when that literal becomes false.  Flat sequences: ``_watches``
+        # holds ``blocker, clause`` pairs of the clauses of three or more
+        # literals watching it, ``_bins`` holds ``other, clause`` pairs of
+        # the binary clauses containing it.  ``_bins`` only ever grows, so
+        # it holds tuples: most literals share the empty one.
+        self._watches: list[list] = [[], []]
+        self._bins: list[tuple] = [(), ()]
+        # Every stored clause by highest variable, for the rescan of
+        # newly active ones (tuples, like ``_bins``).
+        self._by_top: list[tuple[_Clause, ...]] = [()]
+        # Per-variable active flags of the current solve (index 0 unused)
+        # and the mask they came from (None = every variable).
+        self._all_active = bytearray(1)
+        self._active: "bytes | bytearray" = self._all_active
+        self._active_mask: Optional[int] = None
         self._learned: list[_Clause] = []
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -112,7 +148,9 @@ class SatSolver:
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
         self._ok = True
-        self._model: list[int] = [0]
+        # Saved phases at the last SAT answer: the model, assigned
+        # variables read as their value, the rest as their saved phase.
+        self._model: list[bool] = [False]
         self._order_heap: list[tuple[float, int]] = []
         self._max_learned = 4000
         self._trail_reuse = trail_reuse
@@ -180,6 +218,10 @@ class SatSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
+        self._bins.append(())
+        self._bins.append(())
+        self._by_top.append(())
+        self._all_active.append(1)
         return self._num_vars
 
     @property
@@ -245,11 +287,17 @@ class SatSolver:
                 self._ok = False
                 return False
             return True
-        clause = _Clause(out, learned=False)
-        self._clauses.append(clause)
-        self._watches[self._widx(out[0])].append(clause)
-        self._watches[self._widx(out[1])].append(clause)
+        self._attach(_Clause(out, learned=False))
         return True
+
+    def _attach(self, clause: _Clause) -> None:
+        """Watch ``clause`` on its first two literals."""
+        lits = clause.lits
+        first, second = lits[0], lits[1]
+        self._by_top[clause.top] += (clause,)
+        table = self._bins if len(lits) == 2 else self._watches
+        table[self._widx(first)] += (second, clause)
+        table[self._widx(second)] += (first, clause)
 
     # ------------------------------------------------------------------
     # Assignment trail
@@ -266,15 +314,22 @@ class SatSolver:
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _cancel_until(self, level: int) -> None:
+    def _cancel_until(self, level: int, requeue: bool = True) -> None:
+        """Undo every level above ``level``; ``requeue`` pushes the freed
+        active variables back on the decision heap (``solve`` skips it
+        because it rebuilds the heap for the new mask anyway)."""
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        assign = self._assign
+        reason = self._reason
+        active = self._active
         for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            _heappush(self._order_heap, (-self._activity[var], var))
+            var = lit if lit > 0 else -lit
+            assign[var] = _UNASSIGNED
+            reason[var] = None
+            if requeue and active[var]:
+                _heappush(self._order_heap, (-self._activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._propagate_head = len(self._trail)
@@ -288,18 +343,25 @@ class SatSolver:
 
         This is the solver's innermost loop (the profile's hottest
         frame), so ``self`` attribute traffic is hoisted into locals and
-        ``_lit_value``/``_widx`` are inlined over the local ``assign``
-        list — the containers are only ever mutated in place, so the
-        local aliases stay valid across ``_enqueue`` calls.
+        ``_lit_value``/``_widx``/``_enqueue`` are inlined over the local
+        ``assign`` list — the containers are only ever mutated in place,
+        so the local aliases stay valid across enqueues.
+
+        Clauses whose highest variable is inactive are skipped and keep
+        their watches.  Level 0 ignores the mask: its facts hold in
+        every solve, so no clause may miss them.
         """
         stats_props = 0
         trail = self._trail
         watches = self._watches
+        bins = self._bins
         assign = self._assign
         level = self._level
         reason = self._reason
         phase = self._phase
         trail_lim = self._trail_lim
+        active = self._active if trail_lim else self._all_active
+        current = len(trail_lim)
         trail_append = trail.append
         head = self._propagate_head
         conflict: Optional[_Clause] = None
@@ -309,55 +371,86 @@ class SatSolver:
             stats_props += 1
             false_lit = -lit
             # Inlined _widx(false_lit).
-            if false_lit > 0:
-                watch_list = watches[2 * false_lit]
+            if lit > 0:
+                lit_var = lit
+                index = 2 * lit + 1
             else:
-                watch_list = watches[-2 * false_lit + 1]
-            new_list: list[_Clause] = []
-            append_kept = new_list.append
-            index = 0
-            count = len(watch_list)
-            while index < count:
-                clause = watch_list[index]
-                index += 1
+                lit_var = -lit
+                index = 2 * lit_var
+            # Binary clauses: the other literal is implied outright.
+            implied = bins[index]
+            for position in range(0, len(implied), 2):
+                other = implied[position]
+                if other > 0:
+                    var = other
+                    value = assign[other]
+                else:
+                    var = -other
+                    value = -assign[var]
+                if value == 1 or not active[var if var > lit_var else lit_var]:
+                    continue
+                clause = implied[position + 1]
+                if value == -1:
+                    conflict = clause
+                    break
+                # The implied literal goes first, as _analyze expects
+                # of a reason clause.
+                clause.lits[0] = other
+                clause.lits[1] = false_lit
+                assign[var] = 1 if other > 0 else -1
+                level[var] = current
+                reason[var] = clause
+                phase[var] = other > 0
+                trail_append(other)
+            if conflict is not None:
+                break
+            watch_list = watches[index]
+            # Watchers stay in place (blockers refreshed in place); the
+            # ones that move to a new literal are deleted afterwards.
+            moved: list[int] = []
+            for position in range(0, len(watch_list), 2):
+                blocker = watch_list[position]
+                if (assign[blocker] if blocker > 0 else -assign[-blocker]) == 1:
+                    continue
+                clause = watch_list[position + 1]
+                if not active[clause.top]:
+                    continue
                 lits = clause.lits
                 # Ensure the falsified literal is in slot 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                # Inlined _lit_value(first) == 1 (literal is true).
-                if (assign[first] if first > 0 else -assign[-first]) == 1:
-                    append_kept(clause)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
+                    watch_list[position] = first
                     continue
                 # Search for a new literal to watch.
-                found = False
                 for k in range(2, len(lits)):
                     other = lits[k]
                     if (assign[other] if other > 0 else -assign[-other]) != -1:
-                        lits[1], lits[k] = other, lits[1]
+                        lits[1] = other
+                        lits[k] = false_lit
                         if other > 0:
-                            watches[2 * other].append(clause)
+                            watches[2 * other] += (first, clause)
                         else:
-                            watches[-2 * other + 1].append(clause)
-                        found = True
+                            watches[-2 * other + 1] += (first, clause)
+                        moved.append(position)
                         break
-                if found:
-                    continue
-                append_kept(clause)
-                if (assign[first] if first > 0 else -assign[-first]) == -1:
-                    # Conflict: keep remaining watches, signal conflict.
-                    new_list.extend(watch_list[index:])
-                    conflict = clause
-                    break
-                # Inlined _enqueue(first, clause) — one call per unit
-                # propagation is the densest call site in the solver.
-                var = first if first > 0 else -first
-                assign[var] = 1 if first > 0 else -1
-                level[var] = len(trail_lim)
-                reason[var] = clause
-                phase[var] = first > 0
-                trail_append(first)
-            watch_list[:] = new_list
+                else:
+                    watch_list[position] = first
+                    if value == -1:
+                        conflict = clause
+                        break
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = current
+                    reason[var] = clause
+                    phase[var] = first > 0
+                    trail_append(first)
+            for position in reversed(moved):
+                del watch_list[position : position + 2]
             if conflict is not None:
                 break
         self._propagate_head = head
@@ -527,7 +620,7 @@ class SatSolver:
             candidate = current[:index] + current[index + 1:]
             attempts += 1
             self.statistics["core_minimize_solves"] += 1
-            if self.solve(candidate) is UNSAT:
+            if self.solve(candidate, active=self._active_mask) is UNSAT:
                 refined = self._conflict_core
                 if refined and len(refined) < len(candidate):
                     current = list(refined)
@@ -545,27 +638,86 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        """Most active unassigned active variable, or 0 if none is left."""
         heap = self._order_heap
+        assign = self._assign
+        activity = self._activity
         while heap:
             neg_act, var = _heappop(heap)
-            if self._assign[var] == _UNASSIGNED and -neg_act == self._activity[var]:
-                return var
-            if self._assign[var] == _UNASSIGNED:
+            if assign[var] == _UNASSIGNED:
+                if -neg_act == activity[var]:
+                    return var
                 # Stale activity entry: reinsert with the fresh score.
-                _heappush(heap, (-self._activity[var], var))
-        # Heap empty: linear scan fallback (also (re)fills the heap).
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
+                _heappush(heap, (-activity[var], var))
+        # Heap exhausted: a last linear scan over the active variables
+        # guards against one the heap missed (it does not refill it).
+        for var in compress(range(len(self._active)), self._active):
+            if assign[var] == _UNASSIGNED:
                 return var
         return 0
 
     def _rebuild_heap(self) -> None:
+        """Decision heap over the unassigned active variables."""
+        assign = self._assign
+        activity = self._activity
         self._order_heap = [
-            (-self._activity[v], v)
-            for v in range(1, self._num_vars + 1)
-            if self._assign[v] == _UNASSIGNED
+            (-activity[v], v)
+            for v in compress(range(len(self._active)), self._active)
+            if assign[v] == _UNASSIGNED
         ]
         _heapify(self._order_heap)
+
+    def _rescan(self, newly: int) -> None:
+        """Re-establish the watches of newly active clauses on the kept trail.
+
+        A clause skipped while inactive may watch literals the kept
+        assumption prefix has since falsified.  Every clause whose
+        highest variable is set in ``newly`` is brought back to the
+        two-watched-literal invariant: watches on two non-false
+        literals where it has them, a unit literal enqueued at the
+        current level with the clause as its reason, and a clause the
+        kept trail falsifies outright cancels the trail to level 0
+        (whose facts no clause ever misses).
+        """
+        assign = self._assign
+        level = self._level
+        watches = self._watches
+        widx = self._widx
+        while newly:
+            low = newly & -newly
+            newly ^= low
+            for clause in self._by_top[low.bit_length() - 1]:
+                lits = clause.lits
+                first = assign[lits[0]] if lits[0] > 0 else -assign[-lits[0]]
+                second = assign[lits[1]] if lits[1] > 0 else -assign[-lits[1]]
+                if first == 1 or second == 1 or (first != -1 and second != -1):
+                    continue
+                values = [assign[q] if q > 0 else -assign[-q] for q in lits]
+                open_pos = [k for k, value in enumerate(values) if value != -1]
+                if not open_pos:
+                    self._cancel_until(0)
+                    return
+                if len(open_pos) == 1:
+                    # Unit or satisfied by one literal: the other watch is
+                    # the false literal assigned last.
+                    last = max(
+                        (k for k in range(len(lits)) if k != open_pos[0]),
+                        key=lambda k: level[abs(lits[k])],
+                    )
+                    order = [open_pos[0], last]
+                else:
+                    order = open_pos[:2]
+                picked = [lits[k] for k in order]
+                if len(lits) > 2:
+                    for old in lits[:2]:
+                        watch_list = watches[widx(old)]
+                        at = watch_list.index(clause)
+                        del watch_list[at - 1 : at + 1]
+                    watches[widx(picked[0])] += (picked[1], clause)
+                    watches[widx(picked[1])] += (picked[0], clause)
+                lits[:] = picked + [q for k, q in enumerate(lits) if k not in order]
+                if len(open_pos) == 1 and values[order[0]] == 0:
+                    self._enqueue(picked[0], clause)
 
     # ------------------------------------------------------------------
     # Learned clause DB reduction (LBD-tiered)
@@ -604,8 +756,19 @@ class SatSolver:
         if not remove_ids:
             return
         self._learned = [c for c in self._learned if id(c) not in remove_ids]
+        # Only clauses of three or more literals are removable, so the
+        # binary implication lists never hold one.
         for watch_list in self._watches:
-            watch_list[:] = [c for c in watch_list if id(c) not in remove_ids]
+            watch_list[:] = [
+                item
+                for blocker, clause in zip(watch_list[::2], watch_list[1::2])
+                if id(clause) not in remove_ids
+                for item in (blocker, clause)
+            ]
+        for clause in removed:
+            self._by_top[clause.top] = tuple(
+                c for c in self._by_top[clause.top] if c is not clause
+            )
         if self.proof is not None:
             for clause in removed:
                 self.proof.append(("d", tuple(clause.lits)))
@@ -646,7 +809,9 @@ class SatSolver:
         self._cancel_until(0)
         self._prev_assumptions = []
 
-    def solve(self, assumptions: Sequence[int] = ()) -> Optional[bool]:
+    def solve(
+        self, assumptions: Sequence[int] = (), active: Optional[int] = None
+    ) -> Optional[bool]:
         """Solve under the given assumption literals.
 
         Returns :data:`SAT` when a model exists, :data:`UNSAT` when there
@@ -657,6 +822,14 @@ class SatSolver:
         standing between calls: the next ``solve`` keeps the segment
         justified by the shared ordered assumption prefix instead of
         re-propagating it.
+
+        ``active`` is a bitmask over variables (bit ``v`` set = variable
+        ``v`` active; ``None`` = all).  Only clauses whose highest
+        variable is active propagate and only active variables are
+        decided, so SAT means every active variable is assigned without
+        conflict.  The mask must hold every assumption variable, be
+        closed under gate fan-in and hold every variable constrained
+        outside a gate definition (see the module docstring).
         """
         self._conflict_core = []
         self.statistics["solve_calls"] += 1
@@ -674,12 +847,27 @@ class SatSolver:
             limit = min(len(assumptions), len(previous), self._decision_level())
             while keep < limit and assumptions[keep] == previous[keep]:
                 keep += 1
-        self._cancel_until(keep)
+        self._cancel_until(keep, requeue=False)
         if keep:
             self.statistics["trail_reused_lits"] += (
                 len(self._trail) - self._trail_lim[0]
             )
         self._prev_assumptions = assumptions
+        previous_mask = self._active_mask
+        self._active_mask = active
+        if active is None:
+            self._active = self._all_active
+        else:
+            self._active = (
+                format(active, "b").encode()[::-1].translate(_BIT_FLAGS)
+            ).ljust(self._num_vars + 1, b"\x00")
+        if keep and previous_mask is not None:
+            # Clauses inactive while the kept trail was built.
+            if active is None:
+                active = (1 << (self._num_vars + 1)) - 2
+            newly = active & ~previous_mask
+            if newly:
+                self._rescan(newly)
         self._rebuild_heap()
         restart_count = 0
         conflicts_until_restart = _luby(restart_count) * 100
@@ -745,8 +933,7 @@ class SatSolver:
                 else:
                     clause = _Clause(learned, learned=True, lbd=lbd)
                     self._learned.append(clause)
-                    self._watches[self._widx(learned[0])].append(clause)
-                    self._watches[self._widx(learned[1])].append(clause)
+                    self._attach(clause)
                     self._bump_clause(clause)
                     self._enqueue(learned[0], clause)
                 self._var_inc *= self._var_decay
@@ -791,7 +978,8 @@ class SatSolver:
             if var == 0:
                 # Snapshot the model; the trail stays standing so the
                 # next solve can reuse the shared assumption prefix.
-                self._model = list(self._assign)
+                # Phases equal the values of assigned variables.
+                self._model = list(self._phase)
                 if not self._trail_reuse:
                     self._cancel_until(0)
                 return SAT
@@ -805,9 +993,13 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def value(self, var: int) -> bool:
-        """Model value of a variable after a SAT answer (False if free)."""
+        """Model value of a variable after a SAT answer.
+
+        A variable the answer left unassigned (outside the active mask)
+        reads as its saved phase; one created since reads False.
+        """
         if var < len(self._model):
-            return self._model[var] == 1
+            return self._model[var]
         return False
 
 

@@ -181,6 +181,7 @@ class Solver:
         if not term.is_bool:
             raise TypeError("Solver.add expects a boolean term")
         lit = self._blaster.lit(term)
+        self._blaster.gates.add_root(lit)
         if self._scopes:
             self._sat.add_clause([-self._scopes[-1], lit])
         else:
@@ -201,7 +202,9 @@ class Solver:
 
     def push(self) -> None:
         """Open a new assertion scope."""
-        self._scopes.append(self._sat.new_var())
+        scope = self._sat.new_var()
+        self._blaster.gates.add_root(scope)
+        self._scopes.append(scope)
 
     def pop(self) -> None:
         """Discard the most recent assertion scope."""
@@ -248,7 +251,11 @@ class Solver:
             self._last_result = Result.SAT
             return Result.SAT
         self.num_solves += 1
-        outcome = self._sat.solve(assumption_lits)
+        # Only the query's cone (plus the roots) propagates and decides.
+        outcome = self._sat.solve(
+            assumption_lits,
+            active=self._blaster.gates.active_mask(assumption_lits),
+        )
         if outcome is SAT:
             self._last_result = Result.SAT
             if self._certify and not self._certify_sat_model(lit_terms.values()):

@@ -516,6 +516,14 @@ class TestAnalyzeDifferential:
             assert new == legacy
 
 
+def watch_lists(solver):
+    """The clauses of each watch and implication list, blockers and
+    implied literals left out of the flat ``literal, clause`` pairs."""
+    for table in (solver._watches, solver._bins):
+        for pairs in table:
+            yield pairs[1::2]
+
+
 class TestLbdManagement:
     def test_learned_clauses_carry_lbd(self):
         clauses, num_vars = php_clauses(5, 4)
@@ -531,8 +539,7 @@ class TestLbdManagement:
         def learned(lits, lbd):
             clause = _Clause(list(lits), learned=True, lbd=lbd)
             solver._learned.append(clause)
-            solver._watches[solver._widx(lits[0])].append(clause)
-            solver._watches[solver._widx(lits[1])].append(clause)
+            solver._attach(clause)
             return clause
 
         glue = learned([v[0], v[1], v[2]], _GLUE_LBD)
@@ -552,5 +559,5 @@ class TestLbdManagement:
         kept_lbds = [c.lbd for c in locals_ if id(c) in kept]
         assert min(dropped_lbds) > max(kept_lbds)
         # Dropped clauses must also vanish from the watch lists.
-        for watch_list in solver._watches:
+        for watch_list in watch_lists(solver):
             assert all(id(c) in kept for c in watch_list)

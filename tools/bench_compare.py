@@ -4,9 +4,10 @@
 CI's timed benchmark step emits a pytest-benchmark JSON report whose
 ``extra_info`` blocks carry *deterministic* counters next to the
 timings: discovered path counts, retired instruction counts, superblock
-dispatch/coverage counters.  Timings vary run to run; the counters must
-not — a drifted counter means exploration, staging or superblock
-stitching changed behaviour, which is a correctness regression even
+dispatch/coverage counters and the CDCL core's work counters.  Timings
+vary run to run; the counters must not — a drifted counter means
+exploration, staging, superblock stitching or the SAT search changed
+behaviour, which is a correctness regression even
 when every assertion still passes (e.g. a hotness tweak that silently
 halves block coverage).
 
@@ -56,6 +57,13 @@ DETERMINISTIC_KEYS = (
     # artifact failed verification mid-benchmark.
     "store_quarantines",
     "store_disabled",
+    # CDCL work counters of the serial pipeline benchmarks: exact under
+    # a pinned PYTHONHASHSEED, so a SAT-core change that alters search
+    # shows here even when wall time hides in the noise.
+    "sat_propagations",
+    "sat_decisions",
+    "sat_conflicts",
+    "sat_solves",
 )
 
 _BASELINE_PATTERN = re.compile(r"BENCH_PR(\d+)\.json$")
