@@ -1,8 +1,8 @@
 """Crash-safe exploration checkpoints: an atomic-rename JSON journal.
 
-The exploration drivers (serial and pooled) periodically serialize
-their *complete* recoverable state — every recorded path, the pending
-frontier, the set of already-issued flip-query digests, and the exact
+The exploration coordinator (one loop for in-process and forked seats)
+periodically serializes its *complete* recoverable state — every
+recorded path, the pending frontier, the set of already-issued flip-query digests, and the exact
 query-attribution counters — to ``checkpoint.json`` inside a campaign
 directory.  Writes go through a temp file + ``os.replace``, so a crash
 at any instant leaves either the previous checkpoint or the new one,
@@ -277,11 +277,11 @@ class CheckpointManager:
         """Atomically write the journal (temp file + ``os.replace``).
 
         ``pending`` is every not-yet-completed item: the frontier
-        snapshot plus, for the pooled driver, the in-flight items —
+        snapshot plus the items seats hold in flight —
         anything not persisted here *and* not recorded as a path would
         be lost to a crash.  The ``*_stats`` dicts are the *current
-        cumulative* flat counters (resume base + live), since the live
-        solver's counters are only merged into the result at run end.
+        cumulative* flat counters (resume base + live), since the seats'
+        counters are only merged into the result at run end.
         """
         state = {
             "version": _FORMAT_VERSION,

@@ -13,24 +13,36 @@ baseline engines share the exact same search and solver infrastructure
 paper's evaluation intends.
 
 Scheduling (frontier policies, branch-flip expansion) lives in
-:mod:`repro.core.scheduler`; multi-process exploration in
-:mod:`repro.core.parallel`.  ``Explorer(executor, jobs=N)`` fans the
-concolic runs out over ``N`` worker processes, and ``use_cache=True``
-puts a cross-path :class:`repro.smt.solver.QueryCache` in front of the
-solver.
+:mod:`repro.core.scheduler`.  One coordinator loop owns the frontier
+and the campaign state (checkpoints, deadline, hotness feedback, flip
+dedup, certify replay) and dispatches work items to *seats*: with
+``jobs=1`` (or a caller-supplied solver) one in-process seat runs each
+item synchronously; ``Explorer(executor, jobs=N)`` forks ``N``
+supervised seats (:mod:`repro.core.parallel`).  Either kind runs the
+same per-run step (:class:`SeatRunner`) and reports one
+:class:`RunRecord` per item.  ``use_cache=True`` puts a cross-path
+:class:`repro.smt.solver.QueryCache` in front of each seat's solver.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..arch.hart import HaltReason
 from ..smt.preprocess import PreprocessConfig
 from ..smt.solver import CachingSolver, Solver
 from ..spec.superblock import BRANCH_HOT_HITS
-from .executor import RunResult
+from .parallel import (
+    DEFAULT_HANG_TIMEOUT,
+    ForkedSeats,
+    default_jobs,
+    from_wire_fields,
+    wire_fields,
+)
 from .scheduler import Frontier, RunStats, WorkItem, expand_run, query_digest
 from .state import ExploredPrefixTrie, InputAssignment
 
@@ -38,8 +50,9 @@ __all__ = [
     "PathInfo",
     "ExplorationResult",
     "Explorer",
-    "apply_staging",
-    "apply_superblocks",
+    "ProcessPoolExplorer",
+    "RunRecord",
+    "SeatRunner",
     "make_solver",
     "install_fault_hooks",
 ]
@@ -50,7 +63,7 @@ def make_solver(
     preprocess: Optional[PreprocessConfig],
     store_dir: Optional[str] = None,
 ):
-    """Build the exploration solver for one driver (or one worker).
+    """Build the exploration solver for one explorer (or one forked seat).
 
     ``use_cache`` selects the pipelined :class:`CachingSolver`; without
     it the plain :class:`Solver` still honours the solver-layer knobs
@@ -58,7 +71,7 @@ def make_solver(
     flags behave identically in cached and uncached runs.
 
     ``store_dir`` (``--store DIR``) attaches the persistent artifact
-    tier behind the query cache — each driver/worker owns its own
+    tier behind the query cache — each explorer/seat owns its own
     :class:`repro.core.store.ArtifactStore` handle on the shared
     directory (reads are per-call, writes single-writer-per-process),
     so the handle is safe to construct before a fork.  A store implies
@@ -89,9 +102,9 @@ def make_solver(
 
 
 def install_fault_hooks(solver, faults, scope) -> None:
-    """Attach one driver's fault schedule to its solver (and cache).
+    """Attach one seat's fault schedule to its solver (and cache).
 
-    Used identically by the serial driver and every pool worker:
+    Used identically by the in-process seat and every forked seat:
     ``unknown=`` give-ups go to the CDCL fault hook, ``corrupt=``
     poisoning to the query cache's corruptor seam (a solver without a
     cache simply has nothing to poison).
@@ -112,35 +125,6 @@ def install_fault_hooks(solver, faults, scope) -> None:
             store.set_fault_hook(store_hook)
         if corruptor is not None:
             store.set_corruptor(corruptor)
-
-
-def apply_staging(executor, staging: Optional[bool]) -> Optional[bool]:
-    """Apply the staged-semantics ablation (--no-staging) to an executor.
-
-    Called once at every exploration entry point (serial and pooled)
-    *before* any run — and before the fork, so workers inherit the
-    setting and serial/parallel behave identically.  Returns the value
-    to forward downstream: ``None`` once applied, so a delegation chain
-    reconfigures the executor exactly once.  ``None`` in leaves the
-    executor's own configuration untouched.
-    """
-    if staging is not None and hasattr(executor, "set_staging"):
-        executor.set_staging(staging)
-        return None
-    return staging
-
-
-def apply_superblocks(executor, superblocks: Optional[bool]) -> Optional[bool]:
-    """Apply the superblock ablation (--no-superblocks) to an executor.
-
-    Same contract as :func:`apply_staging`: applied once, before any run
-    and before the worker fork, returning ``None`` once consumed so the
-    delegation chain reconfigures the executor exactly once.
-    """
-    if superblocks is not None and hasattr(executor, "set_superblocks"):
-        executor.set_superblocks(superblocks)
-        return None
-    return superblocks
 
 
 @dataclass
@@ -402,24 +386,254 @@ class ExplorationResult:
         return text
 
 
+class LayerCounters(NamedTuple):
+    """One seat's *cumulative* flat layer counter dicts (see
+    :meth:`SeatRunner.counters`); key-wise summed over seats at finish."""
+
+    solver: dict
+    snapshot: dict
+    superblock: dict
+    governor: dict
+
+
+@dataclass
+class RunRecord:
+    """What one seat reports for one executed work item.
+
+    ``path.index`` is assigned when the coordinator records the path.
+    ``counters`` is filled on forked seats only: their replies carry the
+    incarnation's cumulative counters, and the coordinator keeps the
+    latest per ``seat`` uid.  That is exact — a seat accrues counters
+    only while producing records, so its last record carries its final
+    totals (work lost to a mid-item death is requeued, so attribution
+    stays a lower bound).  The in-process seat's counters are read
+    directly, at checkpoint and at finish.
+    """
+
+    path: PathInfo
+    #: Prefix instructions snapshot resumption skipped on this run.
+    resumed_instret: int
+    #: Flip children, each snapshot reference tagged ``(seat, handle)``.
+    children: list
+    stats: RunStats
+    #: Uid of the seat (its fault scope) that executed the item.
+    seat: object
+    counters: Optional[LayerCounters] = None
+
+    def __reduce__(self):
+        # A forked seat's reply crosses its pipe as builtins only (see
+        # repro.core.parallel.wire_fields).
+        return _record_from_wire, (
+            wire_fields(self.path),
+            self.resumed_instret,
+            [wire_fields(child) for child in self.children],
+            vars(self.stats),
+            self.seat,
+            self.counters and tuple(self.counters),
+        )
+
+
+def _record_from_wire(path, resumed_instret, children, stats, seat, counters):
+    return RunRecord(
+        from_wire_fields(PathInfo, path),
+        resumed_instret,
+        [from_wire_fields(WorkItem, child) for child in children],
+        RunStats(**stats),
+        seat,
+        counters and LayerCounters(*counters),
+    )
+
+
+class SeatRunner:
+    """The per-run step of one seat, over the state the seat owns.
+
+    A seat owns its solver (and query cache), its explored-prefix trie,
+    its memory governor, its fault scope ``uid`` and run ordinal, and
+    the superblock hot-PC set already applied to its executor.  The
+    in-process seat runs under scope ``"serial"``; forked seats under
+    their incarnation uids — the keys of every seeded fault schedule.
+
+    Snapshot handles are process-local, so an item's snapshot reference
+    ``(seat uid, handle)`` is only honoured by the seat that captured
+    it; other seats re-execute from the entry point, which discovers
+    the identical path (counted as ``snap_cross_worker_items``).
+    """
+
+    def __init__(self, explorer, uid, solver, compute_digests: bool):
+        executor = explorer.executor
+        self.uid = uid
+        self.executor = executor
+        self.solver = solver
+        self.faults = explorer.faults
+        install_fault_hooks(solver, self.faults, uid)
+        self.trie = ExploredPrefixTrie() if explorer.dedup_flips else None
+        self.snapshots = explorer.snapshots
+        self.certify = explorer.certify
+        self.compute_digests = compute_digests
+        # Anytime layer: the governor reads/flips ``capture_state`` — its
+        # bottom rung disables snapshot capture, which run() re-reads
+        # every item, so degradation takes effect immediately.  RSS is
+        # per-process, so every forked seat walks its own ladder.
+        self.capture_state = {"snapshots": self.snapshots}
+        self.governor = None
+        if explorer.memory_budget_mb is not None:
+            from .governor import build_exploration_governor
+
+            self.governor = build_exploration_governor(
+                explorer.memory_budget_mb, executor, solver, self.capture_state
+            )
+        self.purge = getattr(executor, "purge_snapshots", None)
+        self.note_hot = getattr(executor, "note_hot_pcs", None)
+        self.memhog_leaks: list = []  # memhog= ballast, kept until the seat closes
+        #: Items started so far: the ordinal of every fault decision.
+        self.ordinal = 0
+        #: Prefix of the coordinator's append-only hot-PC tuple applied.
+        self.hot_applied = 0
+        self.cross_seat_items = 0
+
+    def run(self, item: WorkItem, hot_pcs: tuple) -> RunRecord:
+        """Execute one item and expand its branch flips."""
+        ordinal = self.ordinal
+        self.ordinal += 1
+        executor = self.executor
+        faults = self.faults
+        if self.note_hot is not None and len(hot_pcs) > self.hot_applied:
+            # The coordinator's hot set is global across seats; apply
+            # the part this seat's executor has not seen yet.
+            self.note_hot(hot_pcs[self.hot_applied :])
+            self.hot_applied = len(hot_pcs)
+        capturing = self.capture_state["snapshots"]
+        if faults is not None:
+            if capturing and self.purge is not None:
+                if faults.should_evict(self.uid, ordinal):
+                    self.purge()
+            ballast = faults.memhog_bytes(self.uid, ordinal)
+            if ballast:
+                self.memhog_leaks.append(bytearray(ballast))
+        if capturing:
+            resume = None
+            if item.snapshot is not None:
+                origin, handle = item.snapshot
+                if origin == self.uid:
+                    resume = handle
+                else:
+                    self.cross_seat_items += 1
+            run = executor.execute_from(
+                resume, item.assignment, capture_from=item.bound
+            )
+        else:
+            run = executor.execute(item.assignment)
+        if self.governor is not None:
+            self.governor.maybe_step()
+        stats = RunStats()
+        children = expand_run(
+            run,
+            item.bound,
+            self.solver,
+            executor.input_variables(),
+            stats,
+            self.trie,
+            compute_digests=self.compute_digests,
+            snapshots=run.snapshots if self.snapshots else None,
+        )
+        for child in children:
+            if child.snapshot is not None:
+                child.snapshot = (self.uid, child.snapshot)
+        path = PathInfo(
+            index=-1,
+            halt_reason=run.halt_reason,
+            exit_code=run.exit_code,
+            instret=run.instret,
+            trace_length=len(run.trace),
+            assignment=run.assignment,
+            stdout=run.stdout,
+            final_pc=run.final_pc,
+            condition_digest=(
+                query_digest(run.trace.conditions()) if self.certify else None
+            ),
+        )
+        return RunRecord(path, run.resumed_instret, children, stats, self.uid)
+
+    def counters(self) -> LayerCounters:
+        """Copies of the seat's cumulative layer counters."""
+        solver_stats = getattr(self.solver, "pipeline_statistics", None)
+        if solver_stats is None:
+            solver_stats = {"sat_core_solves": self.solver.num_solves}
+        executor = self.executor
+        snapshot_stats = getattr(executor, "snapshot_statistics", None)
+        if snapshot_stats is not None and self.snapshots:
+            snapshot_stats = dict(snapshot_stats)
+            snapshot_stats["snap_cross_worker_items"] = self.cross_seat_items
+        else:
+            snapshot_stats = {}
+        superblock_stats = getattr(executor, "superblock_statistics", None)
+        if superblock_stats is not None and getattr(
+            executor, "superblocks_enabled", False
+        ):
+            superblock_stats = dict(superblock_stats)
+        else:
+            superblock_stats = {}
+        return LayerCounters(
+            dict(solver_stats),
+            snapshot_stats,
+            superblock_stats,
+            dict(self.governor.statistics) if self.governor is not None else {},
+        )
+
+
+class _InProcessSeat:
+    """The single seat of an in-process exploration.
+
+    Runs each item synchronously at dispatch, so exceptions propagate
+    raw, and hands the record back untouched: no pickling and no
+    per-run counter copies.
+    """
+
+    def __init__(self, runner: SeatRunner):
+        self.runner = runner
+        self.task_id: Optional[int] = None
+        self._reply = None
+
+    def idle(self):
+        return (self,) if self.task_id is None else ()
+
+    def dispatch(self, seat, task_id, item, hot_pcs) -> None:
+        self.task_id = task_id
+        self._reply = (task_id, self.runner.run(item, hot_pcs))
+
+    def wait(self, result, frontier, in_flight, deadline_at) -> list:
+        reply, self._reply = self._reply, None
+        return [reply]
+
+    def done(self, task_id, record) -> None:
+        self.task_id = None
+
+    def counters(self):
+        return (self.runner.counters(),)
+
+    def close(self) -> None:
+        del self.runner.memhog_leaks[:]
+
+
 class Explorer:
     """Drives an executor through all feasible paths of the SUT.
 
-    ``jobs > 1`` delegates to the multi-process driver (each worker owns
-    its own solver and query cache); ``use_cache`` enables the
-    cross-path query cache in the single-process driver, and
-    ``preprocess`` configures the word-level query pipeline in front of
-    it (slicing / rewriting / intervals — all on by default).  An
-    explicitly supplied ``solver`` pins the exploration to a single
-    process, since a user-provided facade (e.g. the query-complexity
-    recorder) cannot be replicated onto workers.
+    ``jobs > 1`` fans the runs out over forked seats (each owns its own
+    solver and query cache); ``use_cache`` enables the cross-path query
+    cache, and ``preprocess`` configures the word-level query pipeline
+    in front of it (slicing / rewriting / intervals — all on by
+    default).  An explicitly supplied ``solver`` pins the exploration
+    to the in-process seat, since a user-provided facade (e.g. the
+    query-complexity recorder) cannot be replicated onto workers; so
+    does a platform without ``fork``, which discovers the identical
+    path set.
 
     Robustness knobs: ``checkpoint_dir`` arms the crash-safe journal
     (:mod:`repro.core.checkpoint`; ``resume=True`` additionally reloads
     it before exploring), and ``faults`` injects a deterministic
     failure schedule (:class:`repro.core.faults.FaultPlan`) for chaos
-    testing.  ``KeyboardInterrupt`` is caught in both drivers and
-    returns the partial result with ``interrupted=True``.
+    testing.  ``KeyboardInterrupt`` is caught and returns the partial
+    result with ``interrupted=True``.
     """
 
     def __init__(
@@ -442,12 +656,12 @@ class Explorer:
         faults=None,
         deadline: Optional[float] = None,
         memory_budget_mb: Optional[int] = None,
-        hang_timeout: float = 5.0,
+        hang_timeout: float = DEFAULT_HANG_TIMEOUT,
         store_dir: Optional[str] = None,
     ):
         self._solver_provided = solver is not None
         #: Persistent artifact store directory (``--store DIR``); every
-        #: driver/worker attaches its own handle on the shared tree.
+        #: seat attaches its own handle on the shared tree.
         self.store_dir = store_dir
         if solver is None:
             solver = make_solver(use_cache, preprocess, store_dir)
@@ -460,8 +674,17 @@ class Explorer:
         self.use_cache = use_cache
         self.dedup_flips = dedup_flips
         self.preprocess = preprocess
-        self.staging = apply_staging(executor, staging)
-        self.superblocks = apply_superblocks(executor, superblocks)
+        # The staged-semantics and superblock ablations (--no-staging,
+        # --no-superblocks) are applied before any run — and before the
+        # fork, so forked seats inherit the setting.  The staged
+        # plan/decode caches are pure per-word memos, so each seat's
+        # copy-on-write copy stays coherent as it grows independently
+        # (see repro.spec.isa).  ``None`` leaves the executor's own
+        # configuration untouched.
+        if staging is not None and hasattr(executor, "set_staging"):
+            executor.set_staging(staging)
+        if superblocks is not None and hasattr(executor, "set_superblocks"):
+            executor.set_superblocks(superblocks)
         # Snapshot-resumed runs (--no-snapshots ablation): only engines
         # advertising support participate; the rest execute every run
         # from the entry point exactly as before.
@@ -476,7 +699,7 @@ class Explorer:
         #: (frontier drains into ``incomplete_paths`` when it fires, the
         #: checkpoint stays resumable), a per-process RSS budget in MB
         #: driving the degradation ladder, and the missed-heartbeat
-        #: threshold after which the pool supervisor kills a seat.
+        #: threshold after which the seat supervisor kills a forked seat.
         self.deadline = deadline
         self.memory_budget_mb = memory_budget_mb
         self.hang_timeout = hang_timeout
@@ -487,31 +710,52 @@ class Explorer:
 
     def explore(self) -> ExplorationResult:
         """Run the full exploration; returns all discovered paths."""
-        if self.jobs > 1 and not self._solver_provided:
-            from .parallel import ProcessPoolExplorer
+        forked = (
+            self.jobs > 1
+            and not self._solver_provided
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
+        result = ExplorationResult(workers=self.jobs if forked else 1)
+        start = time.perf_counter()
+        frontier = Frontier(self.strategy_name, self.seed)
+        manager, restored = self._make_checkpoint()
+        # Flip-query digests of children already enqueued.  Forked seats'
+        # tries are per-process, so when diverged runs on *different*
+        # seats re-derive the same flip, the duplicate is caught here —
+        # same path set as one shared trie.  Digests are restart-stable,
+        # so with checkpointing on the persisted set also suppresses
+        # re-deriving children a pre-crash run already enqueued.  (The
+        # in-process seat's trie dedups everything within one process
+        # lifetime, so it computes digests only when checkpointing.)
+        seen_digests: Optional[set] = (
+            set() if forked or manager is not None else None
+        )
+        if restored is not None:
+            restored.restore_result(result)
+            seen_digests = restored.digests
+            for item in restored.frontier_items():
+                frontier.push(item)
+        else:
+            frontier.push(WorkItem(InputAssignment(), 0))
+        if restored is None or not restored.complete:
+            if forked:
+                seats = ForkedSeats(self)
+            else:
+                seats = _InProcessSeat(
+                    SeatRunner(self, "serial", self.solver, seen_digests is not None)
+                )
+            self._coordinate(result, frontier, seats, manager, seen_digests)
+        if self.certify:
+            # Restored paths are replayed too: a certificate is evidence
+            # about the executor at hand, not about the run that found
+            # the path.  In forked mode the parent never executed the
+            # SUT, so its executor is a pristine replay vehicle.
+            from .certificates import verify_result
 
-            return ProcessPoolExplorer(
-                self.executor,
-                jobs=self.jobs,
-                strategy=self.strategy_name,
-                max_paths=self.max_paths,
-                seed=self.seed,
-                use_cache=self.use_cache,
-                dedup_flips=self.dedup_flips,
-                preprocess=self.preprocess,
-                staging=self.staging,
-                superblocks=self.superblocks,
-                snapshots=self.snapshots,
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_interval=self.checkpoint_interval,
-                resume=self.resume,
-                faults=self.faults,
-                deadline=self.deadline,
-                memory_budget_mb=self.memory_budget_mb,
-                hang_timeout=self.hang_timeout,
-                store_dir=self.store_dir,
-            ).explore()
-        return self._explore_serial()
+            verify_result(result, self.executor)
+            self._persist_certificates(result)
+        result.wall_time = time.perf_counter() - start
+        return result
 
     def _make_checkpoint(self):
         """Build the journal manager (and load prior state on resume)."""
@@ -528,120 +772,77 @@ class Explorer:
         state = manager.load() if self.resume else None
         return manager, state
 
-    def _live_solver_stats(self) -> dict:
-        stats = getattr(self.solver, "pipeline_statistics", None)
-        if stats is not None:
-            return dict(stats)
-        return {"sat_core_solves": self.solver.num_solves}
+    def _coordinate(self, result, frontier, seats, manager, seen_digests) -> None:
+        """The exploration loop: dispatch items to seats, fold records.
 
-    @staticmethod
-    def _summed(base: dict, live: dict) -> dict:
-        total = dict(base)
-        for key, value in live.items():
-            total[key] = total.get(key, 0) + value
-        return total
-
-    def _explore_serial(self) -> ExplorationResult:
-        result = ExplorationResult()
-        start = time.perf_counter()
-        frontier = Frontier(self.strategy_name, self.seed)
-        manager, restored = self._make_checkpoint()
-        # With checkpointing on, children additionally carry restart-
-        # stable flip-query digests; the persisted digest set suppresses
-        # re-deriving children a pre-crash run already enqueued.  (The
-        # in-process trie below dedups everything within one process
-        # lifetime, so on fresh runs the filter never fires.)
-        seen_digests: Optional[set] = set() if manager is not None else None
-        if restored is not None:
-            restored.restore_result(result)
-            seen_digests = restored.digests
-            for item in restored.frontier_items():
-                frontier.push(item)
-            if restored.complete:
-                result.wall_time = time.perf_counter() - start
-                return result
-        else:
-            frontier.push(WorkItem(InputAssignment(), 0))
-        trie = ExploredPrefixTrie() if self.dedup_flips else None
-        executor = self.executor
-        snapshots = self.snapshots
+        ``seats`` is the in-process seat or the forked ones
+        (:class:`repro.core.parallel.ForkedSeats`); both expose
+        ``idle()``, ``dispatch()``, ``wait()``, ``done()``,
+        ``counters()`` and ``close()``.  A seat is busy from dispatch
+        until its record is folded, so each fold's children are pushed
+        before the seat that produced them (and holds their snapshots)
+        pops its next item.
+        """
         faults = self.faults
-        install_fault_hooks(self.solver, faults, "serial")
-        # Anytime layer: the deadline is absolute (monotonic clock), and
-        # the governor reads/flips ``capture_state`` — its bottom rung
-        # disables snapshot capture, which the loop below re-reads every
-        # run, so degradation takes effect immediately.
         deadline_at = (
             time.monotonic() + self.deadline if self.deadline is not None else None
         )
-        capture_state = {"snapshots": snapshots}
-        governor = None
-        if self.memory_budget_mb is not None:
-            from .governor import build_exploration_governor
-
-            governor = build_exploration_governor(
-                self.memory_budget_mb, executor, self.solver, capture_state
-            )
-        memhog_leaks: list = []  # memhog= fault ballast, freed on return
-        purge = getattr(executor, "purge_snapshots", None)
-        # Superblock hotness feedback: accumulate per-PC flippable-branch
-        # executions across runs; a PC crossing the threshold is reported
-        # to the executor once, promoting its successors to block entries.
-        note_hot = getattr(executor, "note_hot_pcs", None)
-        if note_hot is not None and not getattr(executor, "superblocks_enabled", False):
-            note_hot = None
+        next_task = 0
+        dropped = False
+        #: task id -> WorkItem currently held by some seat.
+        in_flight: dict[int, WorkItem] = {}
+        pending: deque = deque()
+        # Superblock hotness feedback: per-PC flippable-branch executions
+        # accumulate across all seats' runs; PCs crossing the threshold
+        # are appended to a cumulative tuple sent with every dispatch, so
+        # late-started and revived seats converge on the same hot set.
+        track_hot = getattr(self.executor, "superblocks_enabled", False)
         hot_counts: dict = {}
-        hot_sent: set = set()
-        runs = 0
+        hot_pcs: tuple = ()
         try:
-            while frontier and result.num_paths < self.max_paths:
+            while frontier or in_flight or pending:
                 if deadline_at is not None and time.monotonic() >= deadline_at:
                     result.interrupted = True
                     result.deadline_expired = True
                     break
-                item = frontier.pop()
-                capturing = capture_state["snapshots"]
-                if faults is not None and purge is not None and capturing:
-                    if faults.should_evict("serial", runs):
-                        purge()
-                if faults is not None:
-                    ballast = faults.memhog_bytes("serial", runs)
-                    if ballast:
-                        memhog_leaks.append(bytearray(ballast))
-                runs += 1
-                if capturing:
-                    run = executor.execute_from(
-                        item.snapshot, item.assignment, capture_from=item.bound
+                for seat in seats.idle():
+                    if not frontier:
+                        break
+                    if result.num_paths + len(in_flight) >= self.max_paths:
+                        break
+                    item = frontier.pop()
+                    in_flight[next_task] = item
+                    seats.dispatch(seat, next_task, item, hot_pcs)
+                    next_task += 1
+                if not in_flight and not pending:
+                    break  # path budget exhausted with work left over
+                if not pending:
+                    pending.extend(seats.wait(result, frontier, in_flight, deadline_at))
+                    if not pending:
+                        continue  # a seat died, or the deadline passed
+                task_id, record = pending.popleft()
+                in_flight.pop(task_id, None)
+                seats.done(task_id, record)
+                if result.num_paths < self.max_paths:
+                    path = record.path
+                    path.index = len(result.paths)
+                    result.paths.append(path)
+                    result.total_instructions += path.instret
+                    result.executed_instructions += (
+                        path.instret - record.resumed_instret
                     )
                 else:
-                    run = executor.execute(item.assignment)
-                if governor is not None:
-                    governor.maybe_step()
-                self._record_path(result, run)
-                stats = RunStats()
-                children = expand_run(
-                    run,
-                    item.bound,
-                    self.solver,
-                    executor.input_variables(),
-                    stats,
-                    trie,
-                    compute_digests=seen_digests is not None,
-                    snapshots=run.snapshots if snapshots else None,
-                )
-                novelty = len(stats.covered_pcs - result.covered_branches)
-                if note_hot is not None and stats.pc_hits:
-                    newly_hot = []
+                    dropped = True
+                stats = record.stats
+                if track_hot:
                     for pc, count in stats.pc_hits.items():
                         total = hot_counts.get(pc, 0) + count
                         hot_counts[pc] = total
-                        if total >= BRANCH_HOT_HITS and pc not in hot_sent:
-                            hot_sent.add(pc)
-                            newly_hot.append(pc)
-                    if newly_hot:
-                        note_hot(newly_hot)
+                        if total >= BRANCH_HOT_HITS and total - count < BRANCH_HOT_HITS:
+                            hot_pcs += (pc,)
+                novelty = len(stats.covered_pcs - result.covered_branches)
                 result.merge_run_stats(stats)
-                for child in children:
+                for child in record.children:
                     if seen_digests is not None and child.digest is not None:
                         if child.digest in seen_digests:
                             result.pruned_queries += 1
@@ -650,65 +851,57 @@ class Explorer:
                     child.novelty = novelty
                     frontier.push(child)
                 if manager is not None:
+                    solver_stats = dict(result.solver_stats)
+                    for counters in seats.counters():
+                        for key, value in counters.solver.items():
+                            solver_stats[key] = solver_stats.get(key, 0) + value
                     manager.maybe_save(
                         result,
-                        frontier.items(),
+                        frontier.items() + list(in_flight.values()),
                         seen_digests,
-                        solver_stats=self._summed(
-                            result.solver_stats, self._live_solver_stats()
-                        ),
+                        solver_stats=solver_stats,
                     )
                 if faults is not None and faults.interrupt_after is not None:
                     if result.num_paths >= faults.interrupt_after:
                         raise KeyboardInterrupt
         except KeyboardInterrupt:
             result.interrupted = True
-        del memhog_leaks[:]
-        result.truncated = bool(frontier)
+        finally:
+            seats.close()
+        result.truncated = dropped or bool(frontier)
         result.frontier_peak = max(frontier.peak, result.frontier_peak)
-        result.merge_solver_stats(self._live_solver_stats())
-        if governor is not None:
-            result.merge_governor_stats(governor.statistics)
-        snapshot_stats = getattr(executor, "snapshot_statistics", None)
-        if snapshot_stats is not None and snapshots:
-            result.merge_snapshot_stats(dict(snapshot_stats))
-        superblock_stats = getattr(executor, "superblock_statistics", None)
-        if superblock_stats is not None and getattr(
-            executor, "superblocks_enabled", False
-        ):
-            result.merge_superblock_stats(dict(superblock_stats))
+        for counters in seats.counters():
+            result.merge_solver_stats(counters.solver)
+            result.merge_snapshot_stats(counters.snapshot)
+            result.merge_superblock_stats(counters.superblock)
+            result.merge_governor_stats(counters.governor)
         if manager is not None:
             manager.save(
                 result,
-                frontier.items(),
+                frontier.items() + list(in_flight.values()),
                 seen_digests,
-                complete=not frontier and not result.interrupted,
+                complete=not frontier and not in_flight and not result.interrupted,
                 solver_stats=result.solver_stats,
                 snapshot_stats=result.snapshot_stats,
                 superblock_stats=result.superblock_stats,
                 governor_stats=result.governor_stats,
             )
         if result.deadline_expired:
-            # Anytime accounting: every drained frontier item is one
-            # explicitly counted unexplored path.  Counted only AFTER
-            # the final checkpoint save — a ``--resume`` restores these
-            # items into its frontier and re-explores them, so
-            # persisting the count too would double-book them.
-            result.incomplete_paths += len(frontier.drain())
-        if self.certify:
-            from .certificates import verify_result
-
-            verify_result(result, executor)
-            self._persist_certificates(result)
-        result.wall_time = time.perf_counter() - start
-        return result
+            # Anytime accounting: drained frontier plus still-in-flight
+            # items are the explicitly counted unexplored paths.  Added
+            # only AFTER the final checkpoint save — ``--resume``
+            # restores those items and re-explores them, so persisting
+            # the count too would double-book them.
+            result.incomplete_paths += len(frontier.drain()) + len(in_flight)
 
     def _persist_certificates(self, result: ExplorationResult) -> None:
         """Write replay-checked certificates to the persistent store.
 
         Only certificates that just *passed* replay are persisted — the
         store holds evidence, not claims.  Content-addressed, so
-        re-running the same campaign rewrites nothing.
+        re-running the same campaign rewrites nothing.  Goes through
+        this explorer's own solver handle: forked seats only persist
+        query verdicts; certificates are a campaign artifact.
         """
         store = getattr(getattr(self.solver, "cache", None), "store", None)
         if store is None or not result.certificates:
@@ -720,23 +913,12 @@ class Explorer:
         for cert in result.certificates:
             store.save_certificate(certificate_to_state(cert))
 
-    # ------------------------------------------------------------------
 
-    def _record_path(self, result: ExplorationResult, run: RunResult) -> None:
-        result.total_instructions += run.instret
-        result.executed_instructions += run.instret - run.resumed_instret
-        result.paths.append(
-            PathInfo(
-                index=len(result.paths),
-                halt_reason=run.halt_reason,
-                exit_code=run.exit_code,
-                instret=run.instret,
-                trace_length=len(run.trace),
-                assignment=run.assignment,
-                stdout=run.stdout,
-                final_pc=run.final_pc,
-                condition_digest=(
-                    query_digest(run.trace.conditions()) if self.certify else None
-                ),
-            )
+class ProcessPoolExplorer(Explorer):
+    """An :class:`Explorer` whose ``jobs`` defaults to one forked seat
+    per CPU (:func:`repro.core.parallel.default_jobs`)."""
+
+    def __init__(self, executor, jobs: Optional[int] = None, **kwargs):
+        super().__init__(
+            executor, jobs=default_jobs() if jobs is None else jobs, **kwargs
         )

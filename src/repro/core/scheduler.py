@@ -1,9 +1,9 @@
 """Work-queue scheduling for path exploration.
 
 This module is the seam between *what* gets explored and *how*: the
-exploration drivers (serial :class:`repro.core.explorer.Explorer`,
-multi-process :class:`repro.core.parallel.ProcessPoolExplorer`) both
-operate on
+exploration coordinator (:class:`repro.core.explorer.Explorer`) and
+its seats, in-process or forked (:mod:`repro.core.parallel`), operate
+on
 
 * :class:`WorkItem` — one pending concolic run (input assignment plus
   the branch index below which ancestors already enumerated flips),
@@ -56,17 +56,16 @@ class WorkItem:
     *parent* run contributed; the coverage-guided strategy prioritizes
     on it and the others ignore it.  ``digest`` identifies the flip
     query that produced this item (see :func:`query_digest`); the
-    parallel driver uses it to deduplicate children across workers.
+    coordinator uses it to deduplicate children across forked seats.
     """
 
     assignment: InputAssignment
     bound: int
     novelty: int = 0
     digest: Optional[int] = None
-    #: Opaque snapshot handle the run that spawned this item captured at
-    #: the divergence point (``None`` = execute from the entry point).
-    #: Serial exploration stores a pool handle, the parallel driver a
-    #: ``(worker_id, handle)`` pair — snapshots are process-local.
+    #: Snapshot the run that spawned this item captured at the
+    #: divergence point, as ``(seat uid, pool handle)`` — snapshots are
+    #: process-local (``None`` = execute from the entry point).
     snapshot: Optional[object] = None
     #: Branch-record index this item diverges at — always ``bound - 1``
     #: for flip children (``None`` for the root).  Carried explicitly so
@@ -123,7 +122,7 @@ class Frontier:
         return self._strategy.items()
 
     def drain(self) -> list:
-        """Pop every queued item (deadline expiry: the drivers count the
+        """Pop every queued item (deadline expiry: the coordinator counts the
         drained items into ``incomplete_paths`` after checkpointing them,
         so an anytime run's unexplored remainder is explicit)."""
         drained = []
@@ -215,7 +214,7 @@ def expand_run(
 
     ``snapshots`` (record index -> pool handle, from
     ``RunResult.snapshots``) attaches to each child the snapshot its
-    divergence point was captured under, so the drivers can resume the
+    divergence point was captured under, so the seat can resume the
     child's run there instead of re-executing the shared prefix.
     """
     children: list[WorkItem] = []

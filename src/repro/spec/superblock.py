@@ -45,8 +45,8 @@ the interpreters promote its successors to block entry points; run
 entry PCs are promoted after :data:`ENTRY_HOT_RUNS` runs.  Compiled
 superblocks live in a per-ISA LRU keyed by ``(domain_key, entry_pc,
 words)`` — shared across interpreter instances over that ISA and
-fork-inherited by :class:`repro.core.parallel.ProcessPoolExplorer`
-workers, exactly like the plan caches they are built from.
+fork-inherited by the forked seats of :mod:`repro.core.parallel`,
+exactly like the plan caches they are built from.
 """
 
 from __future__ import annotations

@@ -67,6 +67,20 @@ def build_executor(source=PIN_CHECK):
     return BinSymExecutor(isa, assemble(source, isa=isa))
 
 
+def mark_forked_seats(monkeypatch, directory):
+    """Wrap the fork target so every seat incarnation leaves one marker
+    file in ``directory`` (written in the child, before it runs)."""
+    from repro.core import parallel
+
+    original = parallel._worker_main
+
+    def marked(*args, **kwargs):
+        os.close(tempfile.mkstemp(prefix="seat-", dir=directory)[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "_worker_main", marked)
+
+
 def assert_subset_or_accounted(faulty, baseline):
     """The central invariant: subset, and any shortfall is counted."""
     faulty_set = faulty.path_set()
@@ -240,6 +254,35 @@ class TestCheckpoint:
             ).explore()
             assert resumed.path_set() == baseline.path_set()
             assert resumed.total_instructions == baseline.total_instructions
+
+    @pytest.mark.parametrize("certify", [False, True])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_resume_of_complete_campaign_agrees_across_jobs(
+        self, jobs, certify, monkeypatch, tmp_path
+    ):
+        """Resuming a finished journal restores the campaign without
+        forking a seat, and certify mode replay-certifies every restored
+        path — identically for every ``jobs``."""
+        preprocess = PreprocessConfig(certify=True) if certify else None
+        journal = str(tmp_path / "journal")
+        markers = tmp_path / "seats"
+        markers.mkdir()
+        baseline = Explorer(
+            build_executor(), jobs=jobs, checkpoint_dir=journal, preprocess=preprocess
+        ).explore()
+        mark_forked_seats(monkeypatch, str(markers))
+        resumed = Explorer(
+            build_executor(),
+            jobs=jobs,
+            checkpoint_dir=journal,
+            resume=True,
+            preprocess=preprocess,
+        ).explore()
+        assert list(markers.iterdir()) == []
+        assert resumed.path_set() == baseline.path_set()
+        assert resumed.total_instructions == baseline.total_instructions
+        assert resumed.certified_paths == (baseline.num_paths if certify else 0)
+        assert resumed.certificate_failures == 0
 
     def test_strategy_mismatch_rejected(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -10,12 +10,13 @@ import multiprocessing
 import pytest
 
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, ProcessPoolExplorer
+from repro.core import BinSymExecutor, Explorer, FaultPlan, ProcessPoolExplorer
 from repro.core.parallel import MAX_ITEM_FAILURES, default_jobs
 from repro.eval.engines import make_engine
 from repro.eval.query_stats import RecordingSolver
 from repro.eval.workloads import WORKLOADS
 from repro.spec import rv32im
+from tests.test_faults import mark_forked_seats
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -228,6 +229,28 @@ class TestWorkerFailure:
         assert result.path_set() == baseline.path_set()
         assert result.worker_deaths == 1
         assert result.incomplete_paths == 0
+
+
+@needs_fork
+class TestForkTargetSeam:
+    @pytest.mark.parametrize("kill_rate", [0, 100])
+    def test_every_seat_enters_through_module_worker_main(
+        self, kill_rate, monkeypatch, tmp_path
+    ):
+        """Seats are spawned with ``repro.core.parallel._worker_main``
+        looked up at spawn time, so a wrapper installed on the module
+        (as the benchmark tracer does) reaches every incarnation —
+        revived seats included.  ``kill=100`` kills every task, so the
+        root item is abandoned after MAX_ITEM_FAILURES revivals."""
+        mark_forked_seats(monkeypatch, str(tmp_path))
+        result = Explorer(
+            build_executor(PIN_CHECK),
+            jobs=2,
+            faults=FaultPlan(kill_rate=kill_rate),
+        ).explore()
+        expected_deaths = MAX_ITEM_FAILURES if kill_rate else 0
+        assert result.worker_deaths == expected_deaths
+        assert len(list(tmp_path.iterdir())) == result.workers + expected_deaths
 
 
 @needs_fork
