@@ -107,8 +107,6 @@ def _cmd_explore(args) -> int:
         engine.symbolic_memory = tuple(symbolic_memory)
     preprocess = PreprocessConfig(
         slicing=args.slicing,
-        rewrite=args.rewrite,
-        intervals=args.intervals,
         unsat_cores=args.unsat_cores,
         trail_reuse=args.trail_reuse,
         conflict_budget=args.conflict_budget,
@@ -261,12 +259,6 @@ def main(argv=None) -> int:
     p_explore.add_argument("--no-slicing", dest="slicing",
                            action="store_false", default=True,
                            help="disable independence slicing of queries")
-    p_explore.add_argument("--no-rewrite", dest="rewrite",
-                           action="store_false", default=True,
-                           help="disable word-level query rewriting")
-    p_explore.add_argument("--no-intervals", dest="intervals",
-                           action="store_false", default=True,
-                           help="disable the interval fast path")
     p_explore.add_argument("--no-unsat-cores", dest="unsat_cores",
                            action="store_false", default=True,
                            help="disable assumption-level UNSAT cores "
@@ -358,8 +350,9 @@ def main(argv=None) -> int:
     p_explore.add_argument("--no-proof-log", dest="proof_log",
                            action="store_false", default=True,
                            help="disable DRAT clause logging in the CDCL "
-                                "core (ablation; --certify then falls "
-                                "back to re-derivation where possible)")
+                                "core under --certify (ablation; UNSAT "
+                                "answers then pass unchecked). Without "
+                                "--certify no log is kept either way")
     p_explore.add_argument("--inject-faults", metavar="SPEC", default=None,
                            help="deterministic chaos schedule, e.g. "
                                 "'kill=30,unknown=20,evict=50,hiccup=10,"

@@ -138,9 +138,15 @@ class CheckpointState:
         # Governor counters are restored directly (not via
         # merge_governor_stats): the ``degradations`` total already came
         # back through _COUNTER_FIELDS above, and merging would re-add
-        # the persisted ``gov_rungs_applied`` on top of it.
+        # the persisted ``gov_rungs_applied`` on top of it.  An
+        # intermediate save's ``degradations`` predates the merge of its
+        # seats' rungs while ``gov_rungs_applied`` includes them; every
+        # rung is one degradation, so the larger is the total.
         for key, value in self.governor_stats.items():
             result.governor_stats[key] = result.governor_stats.get(key, 0) + value
+        result.degradations = max(
+            result.degradations, self.governor_stats.get("gov_rungs_applied", 0)
+        )
 
     def frontier_items(self) -> list:
         """Pending :class:`WorkItem`s (snapshot-free, per module doc)."""
@@ -159,8 +165,8 @@ class CheckpointState:
 class CheckpointManager:
     """Owns one campaign directory's journal: save / load / cadence.
 
-    ``interval`` is in *recorded paths*: ``maybe_save`` persists once
-    every ``interval`` newly recorded paths (1 = after every run).  The
+    ``interval`` is in *recorded paths*: a save is ``due`` once every
+    ``interval`` newly recorded paths (1 = after every run).  The
     strategy name and seed are stored in the journal and validated on
     load — resuming a DFS campaign as BFS would silently explore a
     different tree, so it is an error instead.
@@ -256,12 +262,9 @@ class CheckpointManager:
     # Save
     # ------------------------------------------------------------------
 
-    def maybe_save(self, result, pending, digests, **stats_now) -> bool:
-        """Persist if ``interval`` paths were recorded since the last save."""
-        if result.num_paths - self._saved_paths < self.interval:
-            return False
-        self.save(result, pending, digests, complete=False, **stats_now)
-        return True
+    def due(self, result) -> bool:
+        """Were ``interval`` paths recorded since the last save?"""
+        return result.num_paths - self._saved_paths >= self.interval
 
     def save(
         self,

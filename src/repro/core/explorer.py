@@ -97,7 +97,7 @@ def make_solver(
         wall_budget=preprocess.wall_budget,
         core_budget=preprocess.core_budget,
         certify=preprocess.certify,
-        proof_log=preprocess.proof_log,
+        proof_log=preprocess.certify and preprocess.proof_log,
     )
 
 
@@ -396,6 +396,26 @@ class LayerCounters(NamedTuple):
     governor: dict
 
 
+def _journal_stats(result: ExplorationResult, live) -> dict:
+    """The four cumulative layer-counter dicts a journal stores.
+
+    ``result`` holds the resume base (or, at the final save, the merged
+    totals); ``live`` is the :class:`LayerCounters` of every seat not
+    yet merged into it.  Built only when a save is due.
+    """
+    stats = {
+        "solver_stats": dict(result.solver_stats),
+        "snapshot_stats": dict(result.snapshot_stats),
+        "superblock_stats": dict(result.superblock_stats),
+        "governor_stats": dict(result.governor_stats),
+    }
+    for counters in live:
+        for totals, seat in zip(stats.values(), counters):
+            for key, value in seat.items():
+                totals[key] = totals.get(key, 0) + value
+    return stats
+
+
 @dataclass
 class RunRecord:
     """What one seat reports for one executed work item.
@@ -620,13 +640,13 @@ class Explorer:
 
     ``jobs > 1`` fans the runs out over forked seats (each owns its own
     solver and query cache); ``use_cache`` enables the cross-path query
-    cache, and ``preprocess`` configures the word-level query pipeline
-    in front of it (slicing / rewriting / intervals — all on by
-    default).  An explicitly supplied ``solver`` pins the exploration
-    to the in-process seat, since a user-provided facade (e.g. the
-    query-complexity recorder) cannot be replicated onto workers; so
-    does a platform without ``fork``, which discovers the identical
-    path set.
+    cache, and ``preprocess`` configures the query pipeline in front of
+    it (independence slicing, then the cache, then one joint CDCL
+    solve; slicing is on by default).  An explicitly supplied
+    ``solver`` pins the exploration to the in-process seat, since a
+    user-provided facade (e.g. the query-complexity recorder) cannot be
+    replicated onto workers; so does a platform without ``fork``, which
+    discovers the identical path set.
 
     Robustness knobs: ``checkpoint_dir`` arms the crash-safe journal
     (:mod:`repro.core.checkpoint`; ``resume=True`` additionally reloads
@@ -850,16 +870,13 @@ class Explorer:
                         seen_digests.add(child.digest)
                     child.novelty = novelty
                     frontier.push(child)
-                if manager is not None:
-                    solver_stats = dict(result.solver_stats)
-                    for counters in seats.counters():
-                        for key, value in counters.solver.items():
-                            solver_stats[key] = solver_stats.get(key, 0) + value
-                    manager.maybe_save(
+                if manager is not None and manager.due(result):
+                    manager.save(
                         result,
                         frontier.items() + list(in_flight.values()),
                         seen_digests,
-                        solver_stats=solver_stats,
+                        complete=False,
+                        **_journal_stats(result, seats.counters()),
                     )
                 if faults is not None and faults.interrupt_after is not None:
                     if result.num_paths >= faults.interrupt_after:
@@ -881,10 +898,7 @@ class Explorer:
                 frontier.items() + list(in_flight.values()),
                 seen_digests,
                 complete=not frontier and not in_flight and not result.interrupted,
-                solver_stats=result.solver_stats,
-                snapshot_stats=result.snapshot_stats,
-                superblock_stats=result.superblock_stats,
-                governor_stats=result.governor_stats,
+                **_journal_stats(result, ()),
             )
         if result.deadline_expired:
             # Anytime accounting: drained frontier plus still-in-flight

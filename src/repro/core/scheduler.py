@@ -145,8 +145,9 @@ class RunStats:
     towards ``sat_checks``/``unsat_checks`` only when the CDCL core
     actually ran for it, towards ``cache_hits`` when the query cache
     answered without a solve, and towards ``fast_path_answers`` when
-    the preprocessing pipeline (rewriting / intervals) decided it with
-    neither.  ``sat_solves`` additionally counts the raw per-slice CDCL
+    it needed neither (its constants decided it: a constant-false
+    conjunct, or nothing left once the constant-true ones are
+    dropped).  ``sat_solves`` additionally counts the raw per-slice CDCL
     invocations those solved queries needed.
     """
 
@@ -203,7 +204,7 @@ def expand_run(
 
     ``stats`` receives exact accounting: every answered query counts as
     sat/unsat only when the CDCL core actually ran — cache hits,
-    preprocessing fast-path answers and trie prunes are tracked
+    constant-only fast-path answers and trie prunes are tracked
     separately — and ``solver_time`` covers model extraction, not just
     the satisfiability check.
 

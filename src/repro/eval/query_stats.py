@@ -19,9 +19,10 @@ angr-like engine's claripy-style always-build-terms shows up directly
 in node counts.
 
 ``--pipeline`` reports the query *answer* breakdown instead: per
-engine, how many queries the SAT core solved vs how many the cache and
-the word-level pipeline (slicing / rewriting / intervals) answered, and
-how many raw CDCL solves that took.  With ``--jobs N`` the counters are
+engine, how many queries the SAT core solved vs how many the cache
+answered (per independence slice, the pipeline's one word-level
+stage), how many its constants decided (the fast path), and how many
+raw CDCL solves that took.  With ``--jobs N`` the counters are
 summed exactly across the worker processes.
 
 Run as a module::
@@ -176,7 +177,7 @@ def measure_pipeline(
 
     The returned dict separates, exactly (summed across workers when
     ``jobs > 1``): queries the SAT core solved, queries the cross-path
-    cache answered, queries the preprocessing fast path answered, and
+    cache answered, constant-only queries the fast path answered, and
     the raw CDCL ``solve()`` calls behind the solved ones.  With
     ``certify`` the exploration runs in certify mode and the breakdown
     additionally reports the evidence-layer counters.  ``store_dir``

@@ -8,10 +8,8 @@ bitvector theory:
   constructors,
 * :mod:`repro.smt.sat` — CDCL SAT solver,
 * :mod:`repro.smt.bitblast` — Tseitin bit-blasting of terms to CNF,
-* :mod:`repro.smt.preprocess` — word-level query pipeline: independence
-  slicing and equality-substitution rewriting,
-* :mod:`repro.smt.intervals` — interval abstract domain (the pipeline's
-  zero-SAT-call fast path),
+* :mod:`repro.smt.preprocess` — independence slicing, the one
+  word-level stage of the query pipeline (slice → cache → CDCL),
 * :mod:`repro.smt.solver` — incremental ``add``/``push``/``pop``/
   ``check``/``model`` facade used by every SE engine in the repo,
 * :mod:`repro.smt.smtlib` — SMT-LIB v2 printing (Fig. 2 reproduction),

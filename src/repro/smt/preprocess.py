@@ -1,54 +1,31 @@
-"""Word-level query preprocessing: independence slicing and rewriting.
+"""Word-level query preprocessing: independence slicing.
 
-This module (together with :mod:`repro.smt.intervals`) forms the
-pipeline that sits between :class:`repro.smt.solver.CachingSolver` and
-the bit-blaster:
-
-1. **Independence slicing** — partition the assertion set into
-   connected components by shared variables (union-find over each
-   conjunct's cached free-variable set).  Components are solved and
-   cached *per slice*: flipping one branch never re-solves unrelated
-   constraints, and :class:`repro.smt.solver.QueryCache` keys shrink to
-   slice-sized sets that recur across paths and workers.
-2. **Word-level rewriting** — a fixpoint pass over each slice doing
-   equality substitution (``x == c`` propagates into sibling
-   conjuncts), cross-assertion constant folding (through the smart
-   constructors in :mod:`repro.smt.terms`), and contradiction /
-   tautology elimination.
-3. The **interval fast path** (:func:`repro.smt.intervals.analyze_slice`)
-   then answers many slices outright; see that module.
-
-Every transformation is equivalence-preserving on the slice: rewriting
-substitutes only ``var == const`` facts (recorded as *bindings* so
-model stitching can re-materialize the eliminated variables), and
-slicing is a partition, so the conjunction of the slices is the
-original query.
+The one word-level stage between :class:`repro.smt.solver.CachingSolver`
+and the bit-blaster partitions each query's assertion set into
+connected components by shared variables (union-find over each
+conjunct's cached free-variable set).  Components are looked up and
+cached *per slice*: flipping one branch never re-solves unrelated
+constraints, and :class:`repro.smt.solver.QueryCache` keys shrink to
+slice-sized sets that recur across paths and workers.  Slicing is a
+partition, so the conjunction of the slices is the original query, and
+every slice is decided by the cache or by the bit-blasted CDCL core —
+no hand-written word-level procedure answers a query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import terms as T
-from .terms import Term
-
-__all__ = [
-    "PreprocessConfig",
-    "RewriteOutcome",
-    "slice_conditions",
-    "substitute",
-    "rewrite_slice",
-]
+__all__ = ["PreprocessConfig", "slice_conditions"]
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Which stages of the query pipeline are active.
 
-    Mirrors the CLI ablation flags: ``--no-slicing``, ``--no-rewrite``
-    and ``--no-intervals`` each clear one pipeline stage.  With all
-    three off the caching solver degenerates to PR 1 behaviour
-    (whole-query keys straight to the bit-blaster).
+    Mirrors the CLI ablation flags: ``--no-slicing`` clears the one
+    word-level stage, and the caching solver then keys whole queries
+    and hands each cache miss straight to the bit-blaster.
 
     The solver-layer knobs ride along in the same config object
     because it is what already crosses the process boundary to every
@@ -71,19 +48,19 @@ class PreprocessConfig:
     and parallel budget behaviour identical.
 
     The *evidence* knobs control the certification layer:
-    ``proof_log`` (``--no-proof-log``) keeps the CDCL core's DRAT-style
-    clause log (learned additions + deletions) so UNSAT answers carry a
-    checkable derivation, and ``certify`` (``--certify``) turns on the
-    checks themselves — every UNSAT core is validated by the
-    independent RUP checker in :mod:`repro.smt.drat` and every SAT
-    model is evaluated against the original conjuncts before anything
-    is cached or reported.  A failed check is never trusted: the entry
+    ``certify`` (``--certify``) turns on the checks — every UNSAT core
+    is validated by the independent RUP checker in
+    :mod:`repro.smt.drat` and every SAT model is evaluated against the
+    original conjuncts before anything is cached or reported.  A failed check is never trusted: the entry
     is quarantined, the query re-solved, and the failure counted.
+    Under ``certify`` the CDCL core keeps a DRAT-style clause log
+    (learned additions + deletions) so UNSAT answers carry a checkable
+    derivation; ``proof_log=False`` (``--no-proof-log``) drops it and
+    UNSAT answers then pass unverified.  Without ``certify`` nothing
+    reads the log, so none is kept whatever ``proof_log`` says.
     """
 
     slicing: bool = True
-    rewrite: bool = True
-    intervals: bool = True
     unsat_cores: bool = True
     trail_reuse: bool = True
     conflict_budget: "int | None" = None
@@ -149,202 +126,3 @@ def slice_conditions(conditions: list) -> list:
             order.append(key)
         bucket.append(cond)
     return [groups[key] for key in order]
-
-
-# ---------------------------------------------------------------------------
-# Substitution through the smart constructors
-# ---------------------------------------------------------------------------
-
-_BINARY = {
-    "add": T.add,
-    "sub": T.sub,
-    "mul": T.mul,
-    "udiv": T.udiv,
-    "urem": T.urem,
-    "sdiv": T.sdiv,
-    "srem": T.srem,
-    "and": T.and_,
-    "or": T.or_,
-    "xor": T.xor,
-    "shl": T.shl,
-    "lshr": T.lshr,
-    "ashr": T.ashr,
-    "concat": T.concat,
-    "eq": T.eq,
-    "ult": T.ult,
-    "ule": T.ule,
-    "slt": T.slt,
-    "sle": T.sle,
-    "band": T.band,
-    "bor": T.bor,
-    "bxor": T.bxor,
-}
-
-_UNARY = {
-    "not": T.not_,
-    "neg": T.neg,
-    "bnot": T.bnot,
-    "bool2bv": T.bool_to_bv,
-}
-
-
-def _rebuild(node: Term, args: list) -> Term:
-    op = node.op
-    ctor = _BINARY.get(op)
-    if ctor is not None:
-        return ctor(args[0], args[1])
-    ctor = _UNARY.get(op)
-    if ctor is not None:
-        return ctor(args[0])
-    if op == "ite":
-        return T.ite(args[0], args[1], args[2])
-    if op == "extract":
-        high, low = node.payload
-        return T.extract(args[0], high, low)
-    if op == "zext":
-        return T.zext(args[0], node.payload)
-    if op == "sext":
-        return T.sext(args[0], node.payload)
-    raise ValueError(f"substitute: unknown operation {op!r}")
-
-
-def substitute(term: Term, bindings: dict) -> Term:
-    """Replace variables per ``bindings``, re-simplifying on the way up.
-
-    Rebuilding goes through the smart constructors, so substituting a
-    constant folds through the whole affected cone — this is what gives
-    the rewriter its cross-assertion constant propagation.  Subtrees
-    disjoint from the bindings are returned as-is (interned identity).
-    """
-    if not bindings or term.free_vars().isdisjoint(bindings):
-        return term
-    bound = frozenset(bindings)
-    memo: dict[Term, Term] = {}
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in memo:
-            continue
-        if node.free_vars().isdisjoint(bound):
-            memo[node] = node
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.extend((arg, False) for arg in node.args if arg not in memo)
-            continue
-        if node.op == "var":
-            memo[node] = bindings[node]
-        else:
-            memo[node] = _rebuild(node, [memo[a] for a in node.args])
-    return memo[term]
-
-
-# ---------------------------------------------------------------------------
-# Word-level rewriting (per slice)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RewriteOutcome:
-    """Result of the rewrite fixpoint over one slice.
-
-    ``conditions`` is the residual conjunction (equivalent to the input
-    under ``bindings``); ``bindings`` maps eliminated variables to
-    constant terms; ``unsat`` reports a contradiction found purely by
-    folding (e.g. ``x == 3`` and ``x == 5`` in one slice).
-
-    Provenance, for UNSAT-core mapping: ``origins[i]`` is the frozenset
-    of *input* conjuncts whose conjunction implies ``conditions[i]``
-    (the conjunct it was rewritten from plus every binding-producing
-    conjunct substituted into it), and ``conflict_origin`` names the
-    input subset that already implies falsity when ``unsat`` is set —
-    both are sound unsatisfiable-core building blocks on their own.
-    """
-
-    conditions: list = field(default_factory=list)
-    bindings: dict = field(default_factory=dict)
-    unsat: bool = False
-    origins: list = field(default_factory=list)
-    conflict_origin: "frozenset | None" = None
-
-
-def _binding_of(cond: Term):
-    """``(var, const)`` when the conjunct pins a variable, else None."""
-    if cond.is_var and cond.is_bool:
-        return cond, T.true()
-    if cond.op == "bnot" and cond.args[0].is_var:
-        return cond.args[0], T.false()
-    if cond.op == "eq":
-        a, b = cond.args
-        if a.is_var and b.is_const:
-            return a, b
-    return None
-
-
-def rewrite_slice(conditions: list) -> RewriteOutcome:
-    """Fixpoint equality-substitution / folding pass over one slice.
-
-    Each round harvests ``var == const`` conjuncts (plus pinned boolean
-    variables) into bindings and substitutes them into the remaining
-    conjuncts; folding may expose new equalities, so the loop runs until
-    no new bindings appear.  Termination: every round eliminates at
-    least one variable from every remaining conjunct.
-
-    Every intermediate conjunct carries its *origin set* — the input
-    conjuncts that entail it — so a later UNSAT core over the residual
-    conditions translates back to a subset of the original query (see
-    :class:`RewriteOutcome`).
-    """
-    conds: list[tuple[Term, frozenset]] = [
-        (cond, frozenset((cond,))) for cond in conditions
-    ]
-    bindings: dict = {}
-    binding_origin: dict = {}
-    while True:
-        fresh: dict = {}
-        fresh_origin: dict = {}
-        rest = []
-        for cond, origin in conds:
-            pinned = _binding_of(cond)
-            if pinned is not None:
-                var, value = pinned
-                previous = fresh.get(var)
-                if previous is not None and previous is not value:
-                    # x == c1 and x == c2: both pinning conjuncts'
-                    # origins together refute the slice.
-                    return RewriteOutcome(
-                        unsat=True, conflict_origin=origin | fresh_origin[var]
-                    )
-                fresh[var] = value
-                fresh_origin[var] = origin
-            else:
-                rest.append((cond, origin))
-        if not fresh:
-            conds = rest
-            break
-        bindings.update(fresh)
-        binding_origin.update(fresh_origin)
-        conds = []
-        for cond, origin in rest:
-            free = cond.free_vars()
-            applied = origin
-            for var in fresh:
-                if var in free:
-                    applied |= fresh_origin[var]
-            rewritten = substitute(cond, fresh)
-            if rewritten.is_const:
-                if not rewritten.payload:
-                    return RewriteOutcome(
-                        bindings=bindings, unsat=True, conflict_origin=applied
-                    )
-                continue  # tautology under the bindings
-            conds.append((rewritten, applied))
-    seen: set = set()
-    unique = []
-    origins = []
-    for cond, origin in conds:
-        if cond not in seen:
-            seen.add(cond)
-            unique.append(cond)
-            origins.append(origin)
-    return RewriteOutcome(conditions=unique, bindings=bindings, origins=origins)

@@ -17,14 +17,14 @@ prefixes collapse onto one entry), and :class:`CachingSolver` consults
 it before touching the CDCL core — exact hits, UNSAT-superset
 subsumption, and satisfying-model reuse all answer without a solve.
 
-On top of the cache, :class:`CachingSolver` runs the word-level
-preprocessing pipeline (PR 2): each query is partitioned into
-variable-independent *slices* (:mod:`repro.smt.preprocess`), every
-slice goes through cache lookup, equality-substitution rewriting and
-the interval fast path (:mod:`repro.smt.intervals`), and only the
-undecided residue reaches the bit-blaster — in a single joint SAT call
-whose model is then split back into per-slice cache entries.  Models
-are stitched across slices (plus rewrite bindings) into one witness.
+The query pipeline is slice → cache → CDCL: :class:`CachingSolver`
+partitions each query into variable-independent *slices*
+(:mod:`repro.smt.preprocess`), looks every slice up in the cache, and
+hands the slices the cache cannot answer to the bit-blaster — in a
+single joint SAT call whose model is then split back into per-slice
+cache entries.  Models are stitched across slices into one witness.
+No hand-written word-level procedure decides a query: every answer
+comes from the cache or from the (certifiable) CDCL core.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from . import drat, terms
 from .bitblast import BitBlaster
 from .digest import term_digest
 from .evalbv import EvalError, evaluate
-from .intervals import analyze_slice
-from .preprocess import PreprocessConfig, rewrite_slice, slice_conditions
+from .preprocess import PreprocessConfig, slice_conditions
 from .sat import SAT, UNKNOWN, SatSolver
 from .terms import Term
 
@@ -876,11 +875,6 @@ class QueryCache:
 PIPELINE_COUNTERS = (
     "queries",
     "slices",
-    "rewrite_unsat",
-    "rewrite_sat",
-    "interval_unsat",
-    "interval_sat",
-    "dropped_conjuncts",
     "joint_solves",
     "verify_fallbacks",
     "fast_path_queries",
@@ -890,37 +884,17 @@ PIPELINE_COUNTERS = (
 )
 
 
-class _PendingSlice:
-    """One slice the preprocessing stages could not decide.
-
-    ``origin_map`` maps each residual (and interval-dropped) condition
-    back to the frozenset of *original* slice conjuncts entailing it,
-    so a SAT-core over the residue translates into an UNSAT core over
-    the query the cache is keyed on.
-    """
-
-    __slots__ = ("key", "original", "residual", "bindings", "dropped", "origin_map")
-
-    def __init__(self, key, original, residual, bindings, dropped, origin_map):
-        self.key = key
-        self.original = original
-        self.residual = residual
-        self.bindings = bindings
-        self.dropped = dropped
-        self.origin_map = origin_map
-
-
 class CachingSolver(Solver):
     """:class:`Solver` with the query pipeline and cache in front.
 
-    ``check`` runs slice → rewrite → intervals → SAT: the query is
-    partitioned into variable-independent slices, each slice is looked
-    up in the cross-path :class:`QueryCache` (exact / UNSAT-subsumption
-    / model-reuse), then rewritten word-level and attacked with the
-    interval fast path; only still-undecided slices reach the CDCL
-    core — together, in one joint solve, whose model is split back into
-    per-slice cache entries.  SAT answers stitch the per-slice models
-    (plus rewrite bindings) into a single witness.
+    ``check`` runs slice → cache → CDCL: the query is partitioned into
+    variable-independent slices, each slice is looked up in the
+    cross-path :class:`QueryCache` (exact / UNSAT-subsumption /
+    model-reuse / persistent store), and every slice the cache cannot
+    answer reaches the CDCL core — together, in one joint solve, whose
+    model is split back into per-slice cache entries.  Every answer
+    therefore comes from the cache or from the core; SAT answers
+    stitch the per-slice models into a single witness.
 
     Only assumption-style queries against an otherwise empty solver are
     preprocessed and cached — the explorer's exact usage pattern.  As
@@ -946,7 +920,7 @@ class CachingSolver(Solver):
             wall_budget=config.wall_budget,
             core_budget=config.core_budget,
             certify=config.certify,
-            proof_log=config.proof_log,
+            proof_log=config.certify and config.proof_log,
         )
         self.cache = cache if cache is not None else QueryCache()
         self.preprocess = config
@@ -1008,31 +982,35 @@ class CachingSolver(Solver):
                 seen.add(term)
                 key_terms.append(term)
 
-        config = self.preprocess
         stats = self.pipeline_stats
         stats["queries"] += 1
         hits_before = self.cache.hits
         solves_before = self.num_solves
 
-        if config.slicing:
+        if self.preprocess.slicing:
             slices = slice_conditions(key_terms)
         else:
             slices = [key_terms] if key_terms else []
         stats["slices"] += len(slices)
 
         stitched: dict[Term, int] = {}
-        pending: list[_PendingSlice] = []
+        # ``(key, conjuncts)`` of every slice the cache could not answer.
+        pending: list[tuple[frozenset, list]] = []
         verdict = Result.SAT
         for slice_conds in slices:
-            outcome = self._preprocess_slice(slice_conds, config)
-            if outcome is None:
+            key = frozenset(slice_conds)
+            result, model = self.cache.lookup(key, slice_conds)
+            if result is Result.UNSAT:
                 verdict = Result.UNSAT
                 break
-            resolved, payload = outcome
-            if resolved:
-                stitched.update(payload)
+            if result is Result.SAT:
+                # No CDCL search ran for this slice, so stitching takes
+                # the cached witness — restricted to this slice's
+                # variables, in case the entry predates slicing (e.g. a
+                # cache shared with a slicing-off solver).
+                stitched.update(self._slice_values(slice_conds, model.get))
             else:
-                pending.append(payload)
+                pending.append((key, slice_conds))
         if verdict is Result.SAT and pending:
             verdict = self._solve_pending(pending, stitched)
         if verdict is Result.SAT:
@@ -1045,191 +1023,39 @@ class CachingSolver(Solver):
             stats["fast_path_queries"] += 1
         return verdict
 
-    def _preprocess_slice(self, slice_conds: list, config: PreprocessConfig):
-        """Answer one slice without the SAT core, or queue it.
+    def _store_unsat(self, key: frozenset) -> Result:
+        """Cache the core's UNSAT answer for ``key``.
 
-        Returns ``None`` for UNSAT, ``(True, values)`` for SAT, or
-        ``(False, _PendingSlice)`` when the core must decide.
+        The core (:attr:`last_core`) already names original conjuncts:
+        the CDCL core solved exactly the slices' own terms.  A minimal
+        core strictly smaller than its key is counted.
         """
-        stats = self.pipeline_stats
-        key = frozenset(slice_conds)
-        result, model = self.cache.lookup(key, slice_conds)
-        if result is Result.UNSAT:
-            return None
-        if result is Result.SAT and model is not None:
-            # A SAT hit is only usable when a witness was cached: the
-            # CDCL core did not run for this slice, so stitching must
-            # take the assignment from the cache entry — restricted to
-            # this slice's variables, in case the entry predates slicing
-            # (e.g. a cache shared with a pipeline-off solver).
-            values: dict[Term, int] = {}
-            for cond in slice_conds:
-                for var in cond.free_vars():
-                    if var not in values:
-                        values[var] = model.get(var, 0)
-            return True, values
-
-        conds = list(slice_conds)
-        bindings: dict = {}
-        origin_map: dict = {cond: frozenset((cond,)) for cond in conds}
-        use_cores = self.preprocess.unsat_cores
-        if config.rewrite:
-            rewritten = rewrite_slice(conds)
-            if rewritten.unsat:
-                core = rewritten.conflict_origin if use_cores else None
-                if self._certified_unsat_store(key, core, stats, "rewrite_unsat"):
-                    return None
-                # Unconfirmed word-level verdict: hand the untouched
-                # slice to the fresh-solve path instead of trusting it.
-                return False, self._uncertified_pending(key, slice_conds)
-            conds, bindings = rewritten.conditions, rewritten.bindings
-            origin_map = dict(zip(conds, rewritten.origins))
-            if not conds:
-                values = self._slice_values(slice_conds, bindings, None)
-                if self._certified_sat_values(values, slice_conds):
-                    stats["rewrite_sat"] += 1
-                    self.cache.store_sat(key, Model(values))
-                    return True, values
-                return False, self._uncertified_pending(key, slice_conds)
-
-        dropped: list = []
-        if config.intervals:
-            outcome = analyze_slice(conds)
-            if outcome.verdict is False:
-                # The interval pass names the conjunct subset that
-                # pinched the refuting box; mapped through the rewrite
-                # provenance it feeds the same minimal-UNSAT-set slot
-                # the SAT-core path uses (see QueryCache.store_unsat).
-                core = None
-                if use_cores and outcome.core is not None:
-                    mapped: set = set()
-                    for cond in outcome.core:
-                        origin = origin_map.get(cond)
-                        if origin is None:
-                            mapped = None
-                            break
-                        mapped |= origin
-                    if mapped is not None:
-                        core = frozenset(mapped)
-                if self._certified_unsat_store(key, core, stats, "interval_unsat"):
-                    return None
-                return False, self._uncertified_pending(key, slice_conds)
-            if outcome.verdict is True:
-                values = self._slice_values(slice_conds, bindings, outcome.witness)
-                if self._certified_sat_values(values, slice_conds):
-                    stats["interval_sat"] += 1
-                    self.cache.store_sat(key, Model(values))
-                    return True, values
-                return False, self._uncertified_pending(key, slice_conds)
-            dropped = outcome.dropped
-            stats["dropped_conjuncts"] += len(dropped)
-            conds = outcome.residual
-
-        return False, _PendingSlice(
-            key, slice_conds, conds, bindings, dropped, origin_map
-        )
-
-    def _map_core(self, pending: list) -> Optional[frozenset]:
-        """Translate :attr:`last_core` into original query conjuncts.
-
-        The SAT layer's core names *residual* (rewritten) conditions;
-        each maps back — through the rewriter's provenance — to the
-        original conjuncts entailing it.  Returns None when cores are
-        unavailable or a residual condition cannot be attributed.
-        """
-        core_terms = self.last_core
-        if core_terms is None:
-            return None
-        mapped: set = set()
-        for term in core_terms:
-            origin = None
-            for entry in pending:
-                origin = entry.origin_map.get(term)
-                if origin is not None:
-                    break
-            if origin is None:
-                return None
-            mapped |= origin
-        return frozenset(mapped)
-
-    def _note_core(self, key: frozenset, core: Optional[frozenset], stats) -> None:
-        """Account for a minimal core strictly smaller than its key."""
+        core = self.last_core
         if core is not None and len(core) < len(key):
-            stats["unsat_cores"] += 1
-            stats["core_conjuncts_dropped"] += len(key) - len(core)
-
-    @staticmethod
-    def _uncertified_pending(key: frozenset, slice_conds: list) -> "_PendingSlice":
-        """The fresh-solve fallback for an answer that failed to certify:
-        the untouched slice, with identity provenance."""
-        return _PendingSlice(
-            key,
-            slice_conds,
-            list(slice_conds),
-            {},
-            [],
-            {cond: frozenset((cond,)) for cond in slice_conds},
-        )
-
-    def _certified_unsat_store(
-        self, key: frozenset, core: Optional[frozenset], stats, counter: str
-    ) -> bool:
-        """Store an UNSAT verdict produced by a word-level stage.
-
-        Rewriting and interval analysis emit no checkable evidence, so
-        in certify mode the verdict is *re-derived* through the
-        proof-logging CDCL core first (solving just the claimed core
-        when one exists): the re-derivation is certified by the base
-        :meth:`Solver.check` and usually yields an even smaller,
-        certified core.  A verdict that fails to re-derive is never
-        cached — the caller falls back to a fresh solve of the whole
-        slice.  Returns True when the UNSAT answer stands.
-        """
-        if self.preprocess.certify:
-            conds = list(core) if core is not None else list(key)
-            confirm = super().check(conds)
-            if confirm is Result.SAT:
-                # The word-level pass contradicted the certified solver:
-                # a real certification failure, never trusted.
-                self.certify_failures += 1
-                return False
-            if confirm is not Result.UNSAT:
-                return False  # budget/certify UNKNOWN: let the caller decide
-            if self.last_core is not None:
-                core = self.last_core
-        stats[counter] += 1
-        self._note_core(key, core, stats)
+            self.pipeline_stats["unsat_cores"] += 1
+            self.pipeline_stats["core_conjuncts_dropped"] += len(key) - len(core)
         self.cache.store_unsat(key, core)
-        return True
-
-    def _certified_sat_values(self, values: dict, slice_conds: list) -> bool:
-        """Certify a word-level SAT witness against its own conjuncts."""
-        if not self.preprocess.certify:
-            return True
-        if self._satisfied(values, slice_conds):
-            self.certified_sat += 1
-            return True
-        self.certify_failures += 1
-        return False
+        return Result.UNSAT
 
     def _solve_pending(
         self, pending: list, stitched: dict[Term, int]
     ) -> Result:
         """Joint SAT solve of all undecided slices, split back per slice.
 
-        One CDCL call decides the conjunction of every pending residue —
-        never more core work than the unpreprocessed query — and on SAT
-        the assignment is carved into per-slice models and cache
-        entries.  A joint UNSAT cannot name the guilty slice, so the
-        *union* of the pending originals is stored as the UNSAT set
-        (sound: the union is a subset of the full query that is itself
-        UNSAT, and subsumption handles supersets).
+        One CDCL call decides the conjunction of every pending slice —
+        never more core work than the unsliced query — and on SAT the
+        assignment is carved into per-slice models and cache entries.
+        A joint UNSAT cannot name the guilty slice, so the *union* of
+        the pending slices is stored as the UNSAT key (sound: the union
+        is a subset of the full query that is itself UNSAT, and
+        subsumption handles supersets).
         """
         stats = self.pipeline_stats
         if len(pending) == 1:
-            joint = pending[0].residual
+            key, joint = pending[0]
         else:
-            joint = [cond for entry in pending for cond in entry.residual]
+            joint = [cond for _, conds in pending for cond in conds]
+            key = frozenset(joint)
             stats["joint_solves"] += 1
         verdict = super().check(joint)
         if verdict is Result.UNKNOWN:
@@ -1238,48 +1064,31 @@ class CachingSolver(Solver):
             stats["unknown_queries"] += 1
             return Result.UNKNOWN
         if verdict is Result.UNSAT:
-            core = self._map_core(pending)
-            if len(pending) == 1:
-                key = pending[0].key
-            else:
-                key = frozenset(
-                    cond for entry in pending for cond in entry.original
-                )
-            self._note_core(key, core, stats)
-            self.cache.store_unsat(key, core)
-            return Result.UNSAT
+            return self._store_unsat(key)
 
         # Extract every slice from the joint assignment *before* any
-        # verification fallback: a fallback re-solve replaces the SAT
-        # core's assignment, which must not leak into other slices.
+        # certify re-solve: a re-solve replaces the SAT core's
+        # assignment, which must not leak into other slices.
         certify = self.preprocess.certify
-        extracted = [(entry, self._extract_slice(entry)) for entry in pending]
-        for entry, values in extracted:
-            fallback = entry.dropped and not self._satisfied(values, entry.dropped)
-            if certify and not fallback and not self._satisfied(
-                values, entry.original
-            ):
-                # The stitched slice model fails its own conjuncts under
-                # the reference evaluator: never trusted — re-solve.
+        extracted = [
+            (key, conds, self._slice_values(conds, self.value_of))
+            for key, conds in pending
+        ]
+        for key, conds, values in extracted:
+            if certify and not self._satisfied(values, conds):
+                # The slice model fails its own conjuncts under the
+                # reference evaluator: never trusted — re-solve the
+                # slice exactly.
                 self.certify_failures += 1
-                fallback = True
-            if fallback:
-                # The joint model ignored a conjunct the interval pass
-                # dropped from *this* slice (its justification involved
-                # other dropped conjuncts), or failed certification.
-                # Re-solve the slice exactly.
                 stats["verify_fallbacks"] += 1
-                verdict = super().check(entry.residual + entry.dropped)
+                verdict = super().check(conds)
                 if verdict is Result.UNKNOWN:
                     stats["unknown_queries"] += 1
                     return Result.UNKNOWN
                 if verdict is Result.UNSAT:
-                    core = self._map_core([entry])
-                    self._note_core(entry.key, core, stats)
-                    self.cache.store_unsat(entry.key, core)
-                    return Result.UNSAT
-                values = self._extract_slice(entry)
-                if certify and not self._satisfied(values, entry.original):
+                    return self._store_unsat(key)
+                values = self._slice_values(conds, self.value_of)
+                if not self._satisfied(values, conds):
                     # Even the dedicated re-solve fails the reference
                     # evaluator: give the query up, explicitly counted.
                     self.certify_failures += 1
@@ -1287,52 +1096,27 @@ class CachingSolver(Solver):
                     return Result.UNKNOWN
             if certify:
                 self.certified_sat += 1
-            self.cache.store_sat(entry.key, Model(values))
+            self.cache.store_sat(key, Model(values))
             stitched.update(values)
         self._last_result = Result.SAT
         return Result.SAT
 
-    def _extract_slice(self, entry: "_PendingSlice") -> dict[Term, int]:
-        """Slice-restricted model values from the current SAT assignment."""
+    @staticmethod
+    def _slice_values(conds: list, lookup) -> dict[Term, int]:
+        """Every free variable of ``conds`` mapped through ``lookup``
+        (a variable ``lookup`` does not bind reads as 0)."""
         values: dict[Term, int] = {}
-        for cond in entry.original:
+        for cond in conds:
             for var in cond.free_vars():
-                if var in values:
-                    continue
-                binding = entry.bindings.get(var)
-                if binding is not None:
-                    values[var] = binding.payload
-                    continue
-                extracted = self.value_of(var)
-                values[var] = extracted if extracted is not None else 0
-        return values
-
-    def _slice_values(
-        self, slice_conds: list, bindings: dict, witness: Optional[dict]
-    ) -> dict[Term, int]:
-        """Complete a preprocessing-produced witness over the slice vars."""
-        values: dict[Term, int] = {}
-        for cond in slice_conds:
-            for var in cond.free_vars():
-                if var in values:
-                    continue
-                binding = bindings.get(var)
-                if binding is not None:
-                    values[var] = binding.payload
-                elif witness is not None and var in witness:
-                    values[var] = witness[var]
-                else:
-                    values[var] = 0
+                if var not in values:
+                    value = lookup(var)
+                    values[var] = value if value is not None else 0
         return values
 
     @staticmethod
     def _satisfied(values: dict[Term, int], conds: list) -> bool:
-        assignment = dict(values)
-        for cond in conds:
-            for var in cond.free_vars():
-                assignment.setdefault(var, 0)
         try:
-            return all(evaluate(cond, assignment) for cond in conds)
+            return all(evaluate(cond, values) for cond in conds)
         except EvalError:  # pragma: no cover - defensive
             return False
 

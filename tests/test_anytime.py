@@ -335,3 +335,50 @@ class TestAnytimeCheckpointCounters:
                 state.governor_stats["gov_rungs_applied"]
                 == result.degradations
             )
+
+    def test_intermediate_journal_carries_live_layer_counters(
+        self, monkeypatch, tmp_path
+    ):
+        """Every save, not only the final one, stores the seats' live
+        snapshot, superblock and governor counters: a campaign killed
+        between saves resumes with the counters its runs accrued."""
+        from repro.core import BinSymExecutor
+        from repro.core.checkpoint import CheckpointManager
+        from repro.core.explorer import ExplorationResult
+        from repro.eval.workloads import WORKLOADS
+        from repro.spec import rv32im
+
+        executor = BinSymExecutor(rv32im(), WORKLOADS["bubble-sort"].image(4))
+        copies = []
+        save = CheckpointManager.save
+
+        def copy_after_save(manager, result, pending, digests, complete, **stats):
+            save(manager, result, pending, digests, complete, **stats)
+            if not complete:
+                copies.append((
+                    CheckpointManager(str(tmp_path), "dfs", 0).load(),
+                    dict(executor.snapshot_statistics),
+                    dict(executor.superblock_statistics),
+                ))
+
+        monkeypatch.setattr(CheckpointManager, "save", copy_after_save)
+        result = Explorer(
+            executor,
+            use_cache=True,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_interval=5,
+            memory_budget_mb=0,
+        ).explore()
+        assert result.num_paths == 24
+        assert [len(state.paths) for state, _, _ in copies] == [5, 10, 15, 20]
+        for state, snapshot, superblock in copies:
+            journal = dict(state.snapshot_stats)
+            del journal["snap_cross_worker_items"]
+            assert journal == snapshot and snapshot["snap_resumed_runs"] > 0
+            assert state.superblock_stats == superblock
+            rungs = state.governor_stats["gov_rungs_applied"]
+            assert rungs >= 1
+            # Resuming from this journal counts every rung it recorded.
+            restored = ExplorationResult()
+            state.restore_result(restored)
+            assert restored.degradations == rungs

@@ -20,9 +20,11 @@ from repro.core.certificates import (
     verify_result,
 )
 from repro.core.checkpoint import CheckpointManager
+from repro.core.explorer import make_solver
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
 from repro.smt.preprocess import PreprocessConfig
+from repro.smt.solver import CachingSolver
 from repro.spec import rv32im
 
 SOURCE = """\
@@ -90,15 +92,29 @@ class TestCertifyMode:
             assert result.certificate_failures == 0
 
     def test_no_proof_log_path_set_unchanged(self):
-        logged = explore(proof_log=True)
-        unlogged = explore(proof_log=False)
+        # Only certify mode keeps a log, so the ablation runs under it.
+        logged = explore(certify=True, proof_log=True)
+        unlogged = explore(certify=True, proof_log=False)
         assert unlogged.path_set() == logged.path_set()
         assert unlogged.num_queries == logged.num_queries
 
     def test_no_proof_log_parallel_path_set_unchanged(self):
-        logged = explore(proof_log=True, jobs=2, workload="bubble-sort")
-        unlogged = explore(proof_log=False, jobs=2, workload="bubble-sort")
+        logged = explore(certify=True, jobs=2, workload="bubble-sort")
+        unlogged = explore(
+            certify=True, proof_log=False, jobs=2, workload="bubble-sort"
+        )
         assert unlogged.path_set() == logged.path_set()
+
+    def test_proof_log_kept_only_when_certifying(self):
+        """Only certify mode reads the DRAT log, so only it keeps one;
+        ``proof_log=False`` still drops it under certify."""
+        assert CachingSolver()._sat.proof is None
+        assert make_solver(False, PreprocessConfig())._sat.proof is None
+        certify = PreprocessConfig(certify=True)
+        assert isinstance(CachingSolver(preprocess=certify)._sat.proof, list)
+        assert isinstance(make_solver(False, certify)._sat.proof, list)
+        unlogged = PreprocessConfig(certify=True, proof_log=False)
+        assert CachingSolver(preprocess=unlogged)._sat.proof is None
 
     def test_condition_digests_recorded_only_when_certifying(self):
         certified = explore(certify=True)

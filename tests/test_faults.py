@@ -152,9 +152,9 @@ class TestFaultPlanParse:
 
 
 def _hard_query():
-    """A query the interval/rewrite fast paths cannot answer and the
-    CDCL core cannot decide by propagation alone (>100 conflicts), so
-    a conflict budget reliably runs out."""
+    """A query the cache cannot answer and the CDCL core cannot decide
+    by propagation alone (>100 conflicts), so a conflict budget
+    reliably runs out."""
     x = T.bv_var("budget_x", 8)
     y = T.bv_var("budget_y", 8)
     z = T.bv_var("budget_z", 8)

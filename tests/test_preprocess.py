@@ -1,10 +1,12 @@
-"""Tests for the word-level query preprocessing pipeline.
+"""Tests for the query pipeline: slice → cache → CDCL.
 
-Covers the independence slicer, the equality-substitution rewriter, the
-pipelined :class:`CachingSolver` (per-slice caching, model stitching,
-fast-path accounting) and the end-to-end ablation property: every
-``--no-*`` configuration must discover the same path sets as the full
-pipeline on the tier-1 workloads, serial and parallel alike.
+Covers the independence slicer, the pipelined :class:`CachingSolver`
+(per-slice caching, model stitching, attribution), a seeded
+differential of the pipeline against a fresh plain :class:`Solver`
+over explorer-shaped query sequences, and the end-to-end ablation
+property: every ``--no-*`` configuration must discover the same path
+sets as the full pipeline on the tier-1 workloads, serial and parallel
+alike.
 """
 
 import multiprocessing
@@ -16,20 +18,20 @@ from repro.core import BinSymExecutor, Explorer
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
 from repro.smt.evalbv import evaluate
-from repro.smt.preprocess import (
-    PreprocessConfig,
-    rewrite_slice,
-    slice_conditions,
-    substitute,
-)
+from repro.smt.preprocess import PreprocessConfig, slice_conditions
 from repro.smt.solver import CachingSolver, Result, Solver
 from repro.spec import rv32im
+from random_terms import random_term
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def bvv(name, width=8):
     return T.bv_var(name, width)
+
+
+#: Every on/off switch of the pipeline and the solver layer cleared.
+ALL_OFF = PreprocessConfig(slicing=False, unsat_cores=False, trail_reuse=False)
 
 
 class TestSliceConditions:
@@ -70,71 +72,6 @@ class TestSliceConditions:
         assert slice_conditions([]) == []
 
 
-class TestSubstitute:
-    def test_identity_when_disjoint(self):
-        x, y = bvv("ba"), bvv("bb")
-        term = T.add(x, T.bv(3, 8))
-        assert substitute(term, {y: T.bv(1, 8)}) is term
-
-    def test_folds_through_cone(self):
-        x, y = bvv("bc"), bvv("bd")
-        term = T.ult(T.add(x, y), T.bv(10, 8))
-        folded = substitute(term, {x: T.bv(3, 8), y: T.bv(4, 8)})
-        assert folded is T.true()
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_substitution_preserves_semantics(self, seed):
-        from test_intervals import random_term
-
-        rng = random.Random(200 + seed)
-        variables = [bvv(f"bs{seed}_{i}") for i in range(3)]
-        for _ in range(40):
-            term = random_term(rng, variables, 8, 3)
-            pinned = {variables[0]: T.bv(rng.randrange(256), 8)}
-            rewritten = substitute(term, pinned)
-            point = {var: rng.randrange(256) for var in variables}
-            point[variables[0]] = pinned[variables[0]].payload
-            assert evaluate(term, point) == evaluate(rewritten, point)
-
-
-class TestRewriteSlice:
-    def test_equality_propagates(self):
-        x, y = bvv("ra"), bvv("rb")
-        out = rewrite_slice([
-            T.eq(x, T.bv(5, 8)),
-            T.ult(x, T.bv(10, 8)),          # true under x=5: dropped
-            T.eq(y, T.add(x, T.bv(1, 8))),  # folds to y == 6: new binding
-        ])
-        assert not out.unsat
-        assert out.conditions == []
-        assert out.bindings[x].payload == 5
-        assert out.bindings[y].payload == 6
-
-    def test_contradiction_by_folding(self):
-        x = bvv("rc")
-        out = rewrite_slice([T.eq(x, T.bv(5, 8)), T.ugt(x, T.bv(9, 8))])
-        assert out.unsat
-
-    def test_conflicting_equalities(self):
-        x = bvv("rd")
-        out = rewrite_slice([T.eq(x, T.bv(3, 8)), T.eq(x, T.bv(4, 8))])
-        assert out.unsat
-
-    def test_boolean_variable_pinning(self):
-        b = T.bool_var("re")
-        x = bvv("rf")
-        out = rewrite_slice([b, T.bor(T.bnot(b), T.ult(x, T.bv(4, 8)))])
-        assert not out.unsat
-        assert out.bindings[b] is T.true()
-        assert out.conditions == [T.ult(x, T.bv(4, 8))]
-
-    def test_no_bindings_is_identity(self):
-        x = bvv("rg")
-        conds = [T.ult(x, T.bv(9, 8)), T.ugt(x, T.bv(2, 8))]
-        out = rewrite_slice(conds)
-        assert out.conditions == conds and not out.bindings
-
-
 class TestPipelinedSolver:
     def queries(self, tag):
         x, y, z = bvv(f"x{tag}"), bvv(f"y{tag}"), bvv(f"z{tag}")
@@ -152,14 +89,8 @@ class TestPipelinedSolver:
 
     @pytest.mark.parametrize(
         "config",
-        [
-            PreprocessConfig(),
-            PreprocessConfig(slicing=False),
-            PreprocessConfig(rewrite=False),
-            PreprocessConfig(intervals=False),
-            PreprocessConfig(slicing=False, rewrite=False, intervals=False),
-        ],
-        ids=["full", "no-slicing", "no-rewrite", "no-intervals", "off"],
+        [PreprocessConfig(), PreprocessConfig(slicing=False), ALL_OFF],
+        ids=["full", "no-slicing", "off"],
     )
     def test_matches_plain_solver_with_valid_models(self, config):
         solver = CachingSolver(preprocess=config)
@@ -198,28 +129,12 @@ class TestPipelinedSolver:
         hard_x = T.eq(T.mul(x, x), T.bv(4, 8))
         assert solver.check([hard_x]) is Result.SAT
         solves_before = solver.num_solves
-        # New query: same x-fragment + an unrelated interval-decidable
-        # y-fragment.  The x slice must come from the cache.
+        # New query: same x-fragment + an unrelated y-fragment.  The x
+        # slice must come from the cache (exact hit) and the y slice
+        # from model reuse (y = 0 completes the pooled x model).
         assert solver.check([hard_x, T.ult(y, T.bv(9, 8))]) is Result.SAT
         assert solver.num_solves == solves_before
         assert solver.cache.exact_hits >= 1
-
-    def test_interval_fast_path_answers_without_core(self):
-        solver = CachingSolver()
-        pc = T.bv_var("fp_pc", 32)
-        # The classic pc-range branch flip: decided with zero SAT calls.
-        assert solver.check([T.ult(pc, T.bv(0x1000, 32))]) is Result.SAT
-        assert (
-            solver.check(
-                [T.ult(pc, T.bv(0x1000, 32)), T.ugt(pc, T.bv(0x2000, 32))]
-            )
-            is Result.UNSAT
-        )
-        assert solver.num_solves == 0
-        assert solver.fast_path_answers >= 1
-        stats = solver.pipeline_statistics
-        assert stats["sat_core_solves"] == 0
-        assert stats["interval_sat"] + stats["interval_unsat"] >= 1
 
     def test_division_by_zero_slice(self):
         """SMT-LIB division semantics survive the pipeline (Fig. 2)."""
@@ -248,14 +163,72 @@ class TestPipelinedSolver:
         assert "fast_path_queries" in stats and "slices" in stats
 
 
-WORKLOAD_CONFIGS = [
-    PreprocessConfig(),
-    PreprocessConfig(slicing=False),
-    PreprocessConfig(rewrite=False),
-    PreprocessConfig(intervals=False),
-    PreprocessConfig(slicing=False, rewrite=False, intervals=False),
-]
-CONFIG_IDS = ["full", "no-slicing", "no-rewrite", "no-intervals", "off"]
+_COMPARISONS = (T.ult, T.ule, T.slt, T.sle, T.eq)
+
+
+class TestPipelineDifferential:
+    """Seeded differential of the whole pipeline against a fresh plain
+    :class:`Solver`, over the query sequences exploration issues: each
+    query is a prefix of some already-explored path plus its negated
+    flip, and every SAT answer seeds a new path through its model.
+
+    Every verdict must match the reference, every SAT model must satisfy
+    its query under the reference evaluator, and every UNSAT set the
+    cache registered for subsumption must itself be UNSAT.
+    """
+
+    @staticmethod
+    def grow(rng, variables, guards, prefix, point, length):
+        """``prefix`` extended by ``length`` conditions that all hold at
+        ``point`` — the path a concrete run at ``point`` takes.  Like a
+        loop guard, a condition is often one an earlier path already
+        branched on (drawn from ``guards``), so UNSAT cores recur under
+        different prefixes."""
+        path = list(prefix)
+        while len(path) < len(prefix) + length:
+            if guards and rng.random() < 0.4:
+                cond = rng.choice(guards)
+            else:
+                lhs = random_term(rng, variables, 8, 1)
+                rhs = random_term(rng, variables, 8, 1)
+                cond = rng.choice(_COMPARISONS)(lhs, rhs)
+                if cond.is_const:
+                    continue
+                guards.append(cond)
+            path.append(cond if evaluate(cond, point) else T.bnot(cond))
+        return path
+
+    @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fresh_solver(self, seed, certify):
+        rng = random.Random(1400 + seed)
+        variables = [bvv(f"pd{seed}_{i}") for i in range(rng.choice((2, 3)))]
+        solver = CachingSolver(preprocess=PreprocessConfig(certify=certify))
+        point = {var: rng.randrange(256) for var in variables}
+        guards: list = []
+        paths = [self.grow(rng, variables, guards, [], point, 4)]
+        verdicts = set()
+        for _ in range(24):
+            base = rng.choice(paths)
+            flip = rng.randrange(len(base))
+            query = base[:flip] + [T.bnot(base[flip])]
+            expected = Solver().check(query)
+            assert solver.check(query) is expected, query
+            verdicts.add(expected)
+            if expected is not Result.SAT:
+                continue
+            model = solver.model()
+            point = {var: model.get(var, 0) for var in variables}
+            assert all(evaluate(term, point) for term in query), query
+            paths.append(self.grow(rng, variables, guards, query, point, 3))
+        assert verdicts == {Result.SAT, Result.UNSAT}
+        for conds in solver.cache._unsat_sets.values():
+            assert Solver().check(list(conds)) is Result.UNSAT, conds
+        assert solver.certify_failures == 0
+
+
+WORKLOAD_CONFIGS = [PreprocessConfig(), PreprocessConfig(slicing=False), ALL_OFF]
+CONFIG_IDS = ["full", "no-slicing", "off"]
 
 
 class TestExplorationAblations:
@@ -304,8 +277,12 @@ class TestExplorationAblations:
         assert parallel.workers == 2
 
     def test_stats_attribution_is_exhaustive(self):
-        """solved + cached + fast-path + pruned covers every flip query."""
-        image = WORKLOADS["bubble-sort"].image(3)
+        """solved + cached + fast-path + pruned covers every flip query.
+
+        Scale 4: bubble-sort@3 issues 7 queries and none recurs, so the
+        cache has nothing to answer there.
+        """
+        image = WORKLOADS["bubble-sort"].image(4)
         result = Explorer(
             BinSymExecutor(rv32im(), image), use_cache=True
         ).explore()
@@ -314,7 +291,7 @@ class TestExplorationAblations:
         )
         assert answered > 0
         assert result.solver_stats["queries"] == answered
-        # Fewer core solves than answered queries: the pipeline earns rent.
+        # Fewer core solves than answered queries: the cache earns rent.
         assert result.solver_stats["sat_core_solves"] == result.sat_solves
         assert result.sat_solves < answered
 

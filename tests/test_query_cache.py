@@ -64,13 +64,9 @@ class TestCachingSolverCorrectness:
         assert solver.cache.exact_hits == 2
 
     def test_unsat_subsumption(self):
-        # Intervals would answer this contradiction themselves, so turn
-        # them off to exercise the cache tier in isolation.  The
-        # superset shares the variable: slicing keeps it in one slice,
-        # whose key strictly contains the cached UNSAT core.
-        from repro.smt.preprocess import PreprocessConfig
-
-        solver = CachingSolver(preprocess=PreprocessConfig(intervals=False))
+        # The superset shares the variable: slicing keeps it in one
+        # slice, whose key strictly contains the cached UNSAT core.
+        solver = CachingSolver()
         x = bvv("x")
         core = [T.ult(x, T.bv(4, 8)), T.ugt(x, T.bv(9, 8))]
         assert solver.check(core) is Result.UNSAT

@@ -2,8 +2,7 @@
 
 Covers the PR 4 seam end to end: ``Solver.last_core`` (term-level
 cores from the CDCL layer's ``analyzeFinal`` + greedy minimization),
-the rewriter's conjunct provenance, minimal-core storage in
-:class:`QueryCache`, and the ablation flags' behavioural invariants on
+minimal-core storage in :class:`QueryCache`, and the ablation flags' behavioural invariants on
 a real exploration workload.
 """
 
@@ -14,7 +13,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer
 from repro.smt import terms as T
-from repro.smt.preprocess import PreprocessConfig, rewrite_slice
+from repro.smt.preprocess import PreprocessConfig
 from repro.smt.solver import CachingSolver, QueryCache, Result, Solver
 from repro.spec import rv32im
 
@@ -97,42 +96,11 @@ class TestConstTrueFastPath:
         assert solver.num_solves == before
 
 
-class TestRewriteProvenance:
-    def test_residual_origin_includes_binding_source(self):
-        x, y = bvv("x"), bvv("y")
-        pin = T.eq(x, T.bv(3, 8))
-        dependent = T.ult(T.add(x, y), T.bv(10, 8))
-        outcome = rewrite_slice([pin, dependent])
-        assert not outcome.unsat
-        assert len(outcome.conditions) == 1
-        [origin] = outcome.origins
-        assert origin == frozenset({pin, dependent})
-
-    def test_conflicting_pins_name_both_conjuncts(self):
-        x, y = bvv("x"), bvv("y")
-        pin1 = T.eq(x, T.bv(3, 8))
-        pin2 = T.eq(x, T.bv(5, 8))
-        noise = T.ult(y, T.bv(10, 8))
-        outcome = rewrite_slice([noise, pin1, pin2])
-        assert outcome.unsat
-        assert outcome.conflict_origin == frozenset({pin1, pin2})
-
-    def test_folded_contradiction_origin(self):
-        x = bvv("x")
-        pin = T.eq(x, T.bv(3, 8))
-        contradiction = T.ugt(x, T.bv(200, 8))
-        outcome = rewrite_slice([pin, contradiction])
-        assert outcome.unsat
-        assert outcome.conflict_origin == frozenset({pin, contradiction})
-
-
 class TestMinimalCoreCaching:
     def test_core_subsumes_unrelated_superset(self):
         """The payoff path: an UNSAT core stored once answers later
         queries that share only the guilty conjuncts."""
-        solver = CachingSolver(
-            preprocess=PreprocessConfig(slicing=False, intervals=False)
-        )
+        solver = CachingSolver(preprocess=PreprocessConfig(slicing=False))
         x = bvv("x")
         guilty = [T.ult(x, T.bv(5, 8)), T.ugt(x, T.bv(10, 8))]
         padding = [T.ult(x, T.bv(200, 8)), T.ult(x, T.bv(199, 8))]
@@ -144,9 +112,7 @@ class TestMinimalCoreCaching:
         assert solver.cache.subsumption_hits == before + 1
 
     def test_no_cores_no_subsumption_on_disjoint_padding(self):
-        config = PreprocessConfig(
-            slicing=False, intervals=False, unsat_cores=False
-        )
+        config = PreprocessConfig(slicing=False, unsat_cores=False)
         solver = CachingSolver(preprocess=config)
         x = bvv("x")
         guilty = [T.ult(x, T.bv(5, 8)), T.ugt(x, T.bv(10, 8))]
@@ -158,11 +124,10 @@ class TestMinimalCoreCaching:
         # Whole-key UNSAT sets cannot subsume across different paddings.
         assert solver.cache.subsumption_hits == before
 
-    def test_core_through_rewrite_bindings(self):
-        """A core over the rewritten residue maps back to original
-        conjuncts (including the equality that produced the binding)."""
-        solver = CachingSolver(preprocess=PreprocessConfig(slicing=False,
-                                                           intervals=False))
+    def test_stored_sets_name_original_conjuncts(self):
+        """Every UNSAT set the cache registers is a subset of the
+        query's own conjuncts: the core solves exactly those terms."""
+        solver = CachingSolver(preprocess=PreprocessConfig(slicing=False))
         x, y = bvv("x"), bvv("y")
         pin = T.eq(x, T.bv(200, 8))
         lo = T.ult(y, T.bv(10, 8))
@@ -170,9 +135,23 @@ class TestMinimalCoreCaching:
         assert solver.check([pin, lo, hi]) is Result.UNSAT
         sets = list(solver.cache._unsat_sets.values())
         assert sets, "an UNSAT set must be registered"
-        # Every stored set is a subset of the original conjuncts (the
-        # rewritten residue never leaks into the cache keys).
         assert all(s <= {pin, lo, hi} for s in sets)
+
+    def test_same_slice_padding_is_cut_from_the_core(self):
+        """Padding in the conflict's own slice is left out of the core,
+        so the stored set is strictly smaller than the cache key and
+        answers a *different* superset by subsumption."""
+        solver = CachingSolver()
+        x = bvv("x")
+        contradiction = [T.ult(T.bv(10, 8), x), T.ult(x, T.bv(5, 8))]
+        padding = T.bnot(T.eq(x, T.bv(7, 8)))
+        assert solver.check(contradiction + [padding]) is Result.UNSAT
+        assert solver.pipeline_stats["unsat_cores"] >= 1
+        other = T.ule(bvv("z"), T.bv(3, 8))
+        solves_before = solver.num_solves
+        assert solver.check(contradiction + [other]) is Result.UNSAT
+        assert solver.num_solves == solves_before
+        assert solver.cache.subsumption_hits >= 1
 
 
 class TestQueryCacheInvertedIndex:

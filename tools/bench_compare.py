@@ -4,12 +4,12 @@
 CI's timed benchmark step emits a pytest-benchmark JSON report whose
 ``extra_info`` blocks carry *deterministic* counters next to the
 timings: discovered path counts, retired instruction counts, superblock
-dispatch/coverage counters and the CDCL core's work counters.  Timings
-vary run to run; the counters must not — a drifted counter means
-exploration, staging, superblock stitching or the SAT search changed
-behaviour, which is a correctness regression even
-when every assertion still passes (e.g. a hotness tweak that silently
-halves block coverage).
+dispatch/coverage counters, the CDCL core's work counters and the query
+cache's per-tier hits.  Timings vary run to run; the counters must
+not — a drifted counter means exploration, staging, superblock
+stitching, the SAT search or the query cache changed behaviour, which
+is a correctness regression even when every assertion still passes
+(e.g. a hotness tweak that silently halves block coverage).
 
 This tool loads the newest committed ``BENCH_PR*.json`` baseline that
 carries a ``ci_counters`` section (older snapshots predate the gate and
@@ -64,6 +64,12 @@ DETERMINISTIC_KEYS = (
     "sat_decisions",
     "sat_conflicts",
     "sat_solves",
+    # Query-cache tier hits of the same serial pipeline benchmarks
+    # (exact under the pinned PYTHONHASHSEED): which tier answered a
+    # query is behaviour, so a drift here is a pipeline change.
+    "cache_exact_hits",
+    "cache_subsumption_hits",
+    "cache_model_reuse_hits",
 )
 
 _BASELINE_PATTERN = re.compile(r"BENCH_PR(\d+)\.json$")
