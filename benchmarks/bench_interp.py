@@ -179,7 +179,7 @@ def test_staging_ablation_contract(benchmark, isa, name):
         assert staged.cache_hits == unstaged.cache_hits
         assert staged.fast_path_answers == unstaged.fast_path_answers
         assert staged.pruned_queries == unstaged.pruned_queries
-        assert staged.solver_stats == unstaged.solver_stats
+        assert staged.layer("") == unstaged.layer("")
         if HAS_FORK:
             # Parallel mode: per-worker caches make the solved-query
             # split differ from serial (as since PR 1), but staged vs
@@ -294,11 +294,11 @@ def test_superblock_ablation_contract(benchmark, isa, name):
         assert on.cache_hits == off.cache_hits
         assert on.fast_path_answers == off.fast_path_answers
         assert on.pruned_queries == off.pruned_queries
-        assert on.solver_stats == off.solver_stats
+        assert on.layer("") == off.layer("")
         # The layer actually engaged, and everything it dispatched is
         # accounted inside the unchanged architectural totals.
-        assert on.superblock_stats.get("sb_hits", 0) > 0
-        assert off.superblock_stats == {}
+        assert on.counters.get("sb_hits", 0) > 0
+        assert off.layer("sb_") == {}
         assert 0 < on.superblock_instructions <= on.total_instructions
         if HAS_FORK:
             parallel_on = explore(True, 4)
@@ -309,7 +309,7 @@ def test_superblock_ablation_contract(benchmark, isa, name):
                 parallel_on.total_instructions
                 == parallel_off.total_instructions
             )
-            assert parallel_on.superblock_stats.get("sb_hits", 0) > 0
+            assert parallel_on.counters.get("sb_hits", 0) > 0
         return on.num_paths
 
     paths = benchmark.pedantic(run, rounds=1, iterations=1)

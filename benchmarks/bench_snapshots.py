@@ -103,14 +103,14 @@ def test_replayed_instructions_contract(benchmark, name):
         off.executed_instructions / max(on.executed_instructions, 1), 2
     )
     benchmark.extra_info["resumed_runs"] = on.resumed_runs
-    benchmark.extra_info["snapshots_captured"] = on.snapshot_stats.get(
+    benchmark.extra_info["snapshots_captured"] = on.counters.get(
         "snap_captured", 0
     )
     benchmark.extra_info["pool_hit_rate"] = round(
-        on.snapshot_stats.get("snap_pool_hits", 0)
+        on.counters.get("snap_pool_hits", 0)
         / max(
-            on.snapshot_stats.get("snap_pool_hits", 0)
-            + on.snapshot_stats.get("snap_pool_misses", 0),
+            on.counters.get("snap_pool_hits", 0)
+            + on.counters.get("snap_pool_misses", 0),
             1,
         ),
         3,
@@ -163,12 +163,12 @@ def test_pool_starvation_fallback(benchmark):
     starved = benchmark.pedantic(run, rounds=3, iterations=1)
     reference = _explore(image, snapshots=False)
     _assert_identical(starved, reference, "starved-pool")
-    assert starved.snapshot_stats["snap_pool_evictions"] > 0
-    assert starved.snapshot_stats["snap_fallback_runs"] > 0
-    benchmark.extra_info["evictions"] = starved.snapshot_stats[
+    assert starved.counters["snap_pool_evictions"] > 0
+    assert starved.counters["snap_fallback_runs"] > 0
+    benchmark.extra_info["evictions"] = starved.counters[
         "snap_pool_evictions"
     ]
-    benchmark.extra_info["fallback_runs"] = starved.snapshot_stats[
+    benchmark.extra_info["fallback_runs"] = starved.counters[
         "snap_fallback_runs"
     ]
     benchmark.extra_info["resumed_runs"] = starved.resumed_runs

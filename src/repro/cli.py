@@ -143,8 +143,8 @@ def _cmd_explore(args) -> int:
         store_dir=args.store,
     ).explore()
     print(result.summary())
+    stats = result.counters
     if args.store:
-        stats = result.solver_stats
         print(
             f"persistent store: {stats.get('store_hits', 0)} warm hits, "
             f"{stats.get('store_stores', 0)} artifacts written, "
@@ -153,7 +153,6 @@ def _cmd_explore(args) -> int:
             f"{stats.get('store_disabled', 0)} tiers disabled"
         )
     if args.certify:
-        stats = result.solver_stats
         print(
             f"certified results: {result.certified_paths} paths replayed "
             f"({result.certificate_failures} failed), "
@@ -165,37 +164,39 @@ def _cmd_explore(args) -> int:
         for message in result.certificate_errors:
             print(f"  CERTIFICATE FAILURE: {message}")
     if args.stats:
-        print("query pipeline statistics:")
-        print(f"  queries answered     : {result.num_queries} solved, "
-              f"{result.cache_hits} from cache, "
-              f"{result.fast_path_answers} fast-path, "
-              f"{result.pruned_queries} pruned, "
-              f"{result.unknown_queries} unknown")
-        print(f"  SAT-core solve() calls: {result.sat_solves}")
-        for key in sorted(result.solver_stats):
-            print(f"  {key:21s}: {result.solver_stats[key]}")
-        if result.snapshot_stats:
-            print("snapshot statistics:")
-            print(f"  instructions executed: "
-                  f"{result.executed_instructions} of "
-                  f"{result.total_instructions} "
-                  f"({result.saved_instructions} skipped by "
-                  f"{result.resumed_runs} resumed runs)")
-            for key in sorted(result.snapshot_stats):
-                print(f"  {key:21s}: {result.snapshot_stats[key]}")
-        if result.superblock_stats:
-            print("superblock statistics:")
-            print(f"  block instructions   : "
-                  f"{result.superblock_instructions} of "
-                  f"{result.total_instructions} "
-                  f"({result.superblock_hits} block dispatches)")
-            for key in sorted(result.superblock_stats):
-                print(f"  {key:21s}: {result.superblock_stats[key]}")
-        if result.governor_stats or result.degradations:
-            print("memory governor statistics:")
-            print(f"  degradation rungs    : {result.degradations}")
-            for key in sorted(result.governor_stats):
-                print(f"  {key:21s}: {result.governor_stats[key]}")
+        # One section per counter layer (see ExplorationResult.layer).
+        sections = (
+            ("", "query pipeline statistics:", (
+                f"queries answered     : {result.num_queries} solved, "
+                f"{result.cache_hits} from cache, "
+                f"{result.fast_path_answers} fast-path, "
+                f"{result.pruned_queries} pruned, "
+                f"{result.unknown_queries} unknown",
+                f"SAT-core solve() calls: {result.sat_solves}",
+            )),
+            ("snap_", "snapshot statistics:", (
+                f"instructions executed: {result.executed_instructions} of "
+                f"{result.total_instructions} ({result.saved_instructions} "
+                f"skipped by {result.resumed_runs} resumed runs)",
+            )),
+            ("sb_", "superblock statistics:", (
+                f"block instructions   : {result.superblock_instructions} of "
+                f"{result.total_instructions} "
+                f"({result.superblock_hits} block dispatches)",
+            )),
+            ("gov_", "memory governor statistics:", (
+                f"degradation rungs    : {result.degradations}",
+            )),
+        )
+        for prefix, title, lines in sections:
+            layer = result.layer(prefix)
+            if prefix and not layer:
+                continue
+            print(title)
+            for line in lines:
+                print(f"  {line}")
+            for key in sorted(layer):
+                print(f"  {key:21s}: {layer[key]}")
         if result.hung_workers or result.deadline_expired:
             print("anytime statistics:")
             print(f"  hung workers killed  : {result.hung_workers}")

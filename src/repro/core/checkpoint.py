@@ -2,11 +2,13 @@
 
 The exploration coordinator (one loop for in-process and forked seats)
 periodically serializes its *complete* recoverable state — every
-recorded path, the pending frontier, the set of already-issued flip-query digests, and the exact
-query-attribution counters — to ``checkpoint.json`` inside a campaign
-directory.  Writes go through a temp file + ``os.replace``, so a crash
-at any instant leaves either the previous checkpoint or the new one,
-never a torn file.
+recorded path, the pending frontier, the set of already-issued
+flip-query digests, the exact query-attribution totals and the
+cumulative layer counters (one flat name-keyed dict, the seats' live
+counters summed into the resume base) — to ``checkpoint.json`` inside
+a campaign directory.  Writes go through a temp file + ``os.replace``,
+so a crash at any instant leaves either the previous checkpoint or the
+new one, never a torn file.
 
 The journal carries its own **integrity digest**: the state object is
 canonically serialized and a ``blake2b`` digest of those bytes is
@@ -47,15 +49,21 @@ from typing import Optional
 
 from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
 
-__all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME"]
+__all__ = [
+    "CheckpointManager",
+    "CheckpointState",
+    "CHECKPOINT_FILENAME",
+    "state_digest",
+]
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
-def _state_digest(state: dict) -> str:
-    """Digest of the canonical serialization of the journal state.
+def state_digest(state: dict) -> str:
+    """Digest of the canonical serialization of a journal (or store file)
+    state block.
 
     The state is re-serialized with sorted keys and fixed separators on
     both the write and the verify side, so the digest is independent of
@@ -65,7 +73,8 @@ def _state_digest(state: dict) -> str:
     body = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
-#: ExplorationResult counter attributes persisted verbatim.
+
+#: ExplorationResult scalar attributes persisted verbatim.
 _COUNTER_FIELDS = (
     "sat_checks",
     "unsat_checks",
@@ -77,7 +86,6 @@ _COUNTER_FIELDS = (
     "incomplete_paths",
     "worker_deaths",
     "hung_workers",
-    "degradations",
     "total_instructions",
     "executed_instructions",
     "solver_time",
@@ -95,11 +103,10 @@ class CheckpointState:
     frontier: list = field(default_factory=list)
     digests: set = field(default_factory=set)
     covered: set = field(default_factory=set)
+    #: The ``_COUNTER_FIELDS`` scalars.
+    totals: dict = field(default_factory=dict)
+    #: The cumulative layer counters (``ExplorationResult.counters``).
     counters: dict = field(default_factory=dict)
-    solver_stats: dict = field(default_factory=dict)
-    snapshot_stats: dict = field(default_factory=dict)
-    superblock_stats: dict = field(default_factory=dict)
-    governor_stats: dict = field(default_factory=dict)
 
     def restore_result(self, result) -> None:
         """Seed an ``ExplorationResult`` with the persisted campaign."""
@@ -130,23 +137,9 @@ class CheckpointState:
                 )
             )
         for name in _COUNTER_FIELDS:
-            setattr(result, name, self.counters.get(name, 0))
+            setattr(result, name, self.totals.get(name, 0))
         result.covered_branches |= self.covered
-        result.merge_solver_stats(self.solver_stats)
-        result.merge_snapshot_stats(self.snapshot_stats)
-        result.merge_superblock_stats(self.superblock_stats)
-        # Governor counters are restored directly (not via
-        # merge_governor_stats): the ``degradations`` total already came
-        # back through _COUNTER_FIELDS above, and merging would re-add
-        # the persisted ``gov_rungs_applied`` on top of it.  An
-        # intermediate save's ``degradations`` predates the merge of its
-        # seats' rungs while ``gov_rungs_applied`` includes them; every
-        # rung is one degradation, so the larger is the total.
-        for key, value in self.governor_stats.items():
-            result.governor_stats[key] = result.governor_stats.get(key, 0) + value
-        result.degradations = max(
-            result.degradations, self.governor_stats.get("gov_rungs_applied", 0)
-        )
+        result.counters = dict(self.counters)
 
     def frontier_items(self) -> list:
         """Pending :class:`WorkItem`s (snapshot-free, per module doc)."""
@@ -222,7 +215,7 @@ class CheckpointManager:
                 f"digest or state) — it was not written by this version, or "
                 f"was damaged; delete it to start a fresh campaign"
             )
-        if _state_digest(state_raw) != digest:
+        if state_digest(state_raw) != digest:
             raise ValueError(
                 f"checkpoint {self.path} failed its integrity check "
                 f"(content digest mismatch) — the journal is truncated or "
@@ -249,11 +242,8 @@ class CheckpointManager:
             frontier=[tuple(entry) for entry in raw["frontier"]],
             digests=set(raw["digests"]),
             covered=set(raw["covered"]),
+            totals=raw["totals"],
             counters=raw["counters"],
-            solver_stats=raw["solver_stats"],
-            snapshot_stats=raw["snapshot_stats"],
-            superblock_stats=raw["superblock_stats"],
-            governor_stats=raw.get("governor_stats", {}),
         )
         self._saved_paths = len(state.paths)
         return state
@@ -272,19 +262,16 @@ class CheckpointManager:
         pending,
         digests,
         complete: bool,
-        solver_stats: Optional[dict] = None,
-        snapshot_stats: Optional[dict] = None,
-        superblock_stats: Optional[dict] = None,
-        governor_stats: Optional[dict] = None,
+        counters: dict,
     ) -> None:
         """Atomically write the journal (temp file + ``os.replace``).
 
         ``pending`` is every not-yet-completed item: the frontier
         snapshot plus the items seats hold in flight —
         anything not persisted here *and* not recorded as a path would
-        be lost to a crash.  The ``*_stats`` dicts are the *current
-        cumulative* flat counters (resume base + live), since the seats'
-        counters are only merged into the result at run end.
+        be lost to a crash.  ``counters`` is the *current cumulative*
+        layer counter dict (resume base + live), since the seats'
+        counters are only summed into the result at run end.
         """
         state = {
             "version": _FORMAT_VERSION,
@@ -315,18 +302,13 @@ class CheckpointManager:
             ],
             "digests": sorted(digests) if digests else [],
             "covered": sorted(result.covered_branches),
-            "counters": {
-                name: getattr(result, name) for name in _COUNTER_FIELDS
-            },
-            "solver_stats": solver_stats or {},
-            "snapshot_stats": snapshot_stats or {},
-            "superblock_stats": superblock_stats or {},
-            "governor_stats": governor_stats or {},
+            "totals": {name: getattr(result, name) for name in _COUNTER_FIELDS},
+            "counters": counters,
         }
         # Digest over the canonical serialization, then the wrapper —
         # load() recomputes the digest from the parsed state, so any
         # bit flip in either part is caught.
-        journal = {"digest": _state_digest(state), "state": state}
+        journal = {"digest": state_digest(state), "state": state}
         temp_path = self.path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(journal, handle)

@@ -22,6 +22,11 @@ supervised seats (:mod:`repro.core.parallel`).  Either kind runs the
 same per-run step (:class:`SeatRunner`) and reports one
 :class:`RunRecord` per item.  ``use_cache=True`` puts a cross-path
 :class:`repro.smt.solver.QueryCache` in front of each seat's solver.
+
+Every layer's work counters travel as one flat, name-keyed dict: a
+seat reports its cumulative counters (:meth:`SeatRunner.counters`),
+and the coordinator sums the seats' dicts by name into the journal at
+each checkpoint and into :attr:`ExplorationResult.counters` at finish.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..arch.hart import HaltReason
 from ..smt.preprocess import PreprocessConfig
@@ -56,6 +61,10 @@ __all__ = [
     "make_solver",
     "install_fault_hooks",
 ]
+
+#: Key prefixes of the executor-side and governor layers in a seat's
+#: counters; every other key is the solver's.
+_SEAT_LAYERS = ("snap_", "sb_", "gov_")
 
 
 def make_solver(
@@ -159,9 +168,8 @@ class ExplorationResult:
     per-slice CDCL invocations behind them, while ``cache_hits``,
     ``fast_path_answers`` and ``pruned_queries`` count work the query
     cache, the preprocessing pipeline and the explored-prefix trie
-    avoided.  ``solver_stats`` carries the flat cache/pipeline counter
-    dict (:attr:`repro.smt.solver.CachingSolver.pipeline_statistics`),
-    key-wise summed across workers.
+    avoided.  ``counters`` carries every layer's cumulative work
+    counters, summed by name across seats (see :meth:`SeatRunner.counters`).
     """
 
     paths: list[PathInfo] = field(default_factory=list)
@@ -186,10 +194,6 @@ class ExplorationResult:
     #: Worker seats the heartbeat watchdog declared hung and killed
     #: (each also counts as a worker death once the kill lands).
     hung_workers: int = 0
-    #: Memory-governor ladder rungs applied under RSS pressure, summed
-    #: over every process.  Non-zero means the run traded speed (cache
-    #: capacity, snapshot reuse) for memory — never paths.
-    degradations: int = 0
     #: The global ``--deadline`` fired: the frontier was drained into
     #: ``incomplete_paths`` and the run checkpointed for ``--resume``.
     #: Not persisted — a resumed run gets a fresh deadline.
@@ -211,18 +215,12 @@ class ExplorationResult:
     frontier_peak: int = 0
     #: PCs of symbolic branches seen during exploration (branch coverage).
     covered_branches: set = field(default_factory=set)
-    #: Flat solver-side counters (cache tiers, pipeline stages, core
-    #: solves), exactly summed over every worker's solver.
-    solver_stats: dict = field(default_factory=dict)
-    #: Flat snapshot-layer counters (captures, resumed runs, saved
-    #: instructions, pool evictions/misses), summed over every worker's
-    #: executor; empty when the engine has no snapshot support.
-    snapshot_stats: dict = field(default_factory=dict)
-    #: Flat superblock-layer counters (block hits, instructions retired
-    #: in blocks, builds, deopts, invalidations), summed over every
-    #: worker's executor; empty when the engine has no superblock
-    #: support or superblocks are off.
-    superblock_stats: dict = field(default_factory=dict)
+    #: Every layer's cumulative work counters in one flat, name-keyed
+    #: dict, exactly summed over every seat: the solver's cache,
+    #: pipeline, CDCL, certify and store counters plus the ``snap_*``
+    #: (snapshot pool), ``sb_*`` (superblocks) and ``gov_*`` (memory
+    #: governor) layers, each present only when its layer is active.
+    counters: dict = field(default_factory=dict)
     #: Certify-mode replay accounting: paths whose certificates checked
     #: under the reference evaluator, and paths with at least one
     #: mismatching field (see :mod:`repro.core.certificates`).
@@ -233,10 +231,6 @@ class ExplorationResult:
     certificates: list = field(default_factory=list)
     #: Human-readable mismatch messages from the certify replay.
     certificate_errors: list = field(default_factory=list)
-    #: Flat memory-governor counters (samples, pressure events, per-rung
-    #: applications), summed over every process; empty without
-    #: ``--memory-budget``.
-    governor_stats: dict = field(default_factory=dict)
 
     @property
     def num_paths(self) -> int:
@@ -278,61 +272,61 @@ class ExplorationResult:
         self.solver_time += stats.solver_time
         self.covered_branches |= stats.covered_pcs
 
-    def merge_solver_stats(self, stats: dict) -> None:
-        """Key-wise sum of one solver's flat counter dict."""
-        for key, value in stats.items():
-            self.solver_stats[key] = self.solver_stats.get(key, 0) + value
+    def layer(self, prefix: str) -> dict:
+        """One layer's counters: the ``snap_``, ``sb_`` or ``gov_`` keys,
+        or for ``""`` the solver's (every key outside those three)."""
+        if prefix:
+            return {k: v for k, v in self.counters.items() if k.startswith(prefix)}
+        return {
+            k: v for k, v in self.counters.items() if not k.startswith(_SEAT_LAYERS)
+        }
 
-    def merge_snapshot_stats(self, stats: dict) -> None:
-        """Key-wise sum of one executor's flat snapshot counter dict."""
-        for key, value in stats.items():
-            self.snapshot_stats[key] = self.snapshot_stats.get(key, 0) + value
+    # Read-only layer views for readers that predate the flat registry.
+    solver_stats = property(lambda self: self.layer(""))
+    snapshot_stats = property(lambda self: self.layer("snap_"))
+    superblock_stats = property(lambda self: self.layer("sb_"))
 
-    def merge_superblock_stats(self, stats: dict) -> None:
-        """Key-wise sum of one executor's flat superblock counter dict."""
-        for key, value in stats.items():
-            self.superblock_stats[key] = self.superblock_stats.get(key, 0) + value
-
-    def merge_governor_stats(self, stats: dict) -> None:
-        """Key-wise sum of one process's flat governor counter dict."""
-        for key, value in stats.items():
-            self.governor_stats[key] = self.governor_stats.get(key, 0) + value
-        self.degradations += stats.get("gov_rungs_applied", 0)
+    @property
+    def degradations(self) -> int:
+        """Memory-governor ladder rungs applied under RSS pressure, summed
+        over every process.  Non-zero means the run traded speed (cache
+        capacity, snapshot reuse) for memory — never paths."""
+        return self.counters.get("gov_rungs_applied", 0)
 
     @property
     def superblock_hits(self) -> int:
         """Step-loop dispatches that executed a superblock."""
-        return self.superblock_stats.get("sb_hits", 0)
+        return self.counters.get("sb_hits", 0)
 
     @property
     def superblock_instructions(self) -> int:
         """Instructions retired inside superblocks (of total_instructions)."""
-        return self.superblock_stats.get("sb_block_instructions", 0)
+        return self.counters.get("sb_block_instructions", 0)
 
     @property
     def store_hits(self) -> int:
         """Verified warm hits served by the persistent store (``--store``)."""
-        return self.solver_stats.get("store_hits", 0)
+        return self.counters.get("store_hits", 0)
 
     @property
     def store_quarantines(self) -> int:
         """Store files that failed verification and were renamed aside."""
-        return self.solver_stats.get("store_quarantines", 0)
+        return self.counters.get("store_quarantines", 0)
 
     @property
     def store_disabled(self) -> int:
         """Processes whose store tier disabled itself after an I/O failure."""
-        return self.solver_stats.get("store_disabled", 0)
+        return self.counters.get("store_disabled", 0)
 
     @property
     def resumed_runs(self) -> int:
         """Runs that resumed from a snapshot instead of ``pc = entry``."""
-        return self.snapshot_stats.get("snap_resumed_runs", 0)
+        return self.counters.get("snap_resumed_runs", 0)
 
     @property
     def saved_instructions(self) -> int:
         """Prefix instructions snapshot resumption did not re-execute."""
-        return self.snapshot_stats.get("snap_saved_instructions", 0)
+        return self.counters.get("snap_saved_instructions", 0)
 
     def summary(self) -> str:
         text = (
@@ -386,34 +380,13 @@ class ExplorationResult:
         return text
 
 
-class LayerCounters(NamedTuple):
-    """One seat's *cumulative* flat layer counter dicts (see
-    :meth:`SeatRunner.counters`); key-wise summed over seats at finish."""
-
-    solver: dict
-    snapshot: dict
-    superblock: dict
-    governor: dict
-
-
-def _journal_stats(result: ExplorationResult, live) -> dict:
-    """The four cumulative layer-counter dicts a journal stores.
-
-    ``result`` holds the resume base (or, at the final save, the merged
-    totals); ``live`` is the :class:`LayerCounters` of every seat not
-    yet merged into it.  Built only when a save is due.
-    """
-    stats = {
-        "solver_stats": dict(result.solver_stats),
-        "snapshot_stats": dict(result.snapshot_stats),
-        "superblock_stats": dict(result.superblock_stats),
-        "governor_stats": dict(result.governor_stats),
-    }
-    for counters in live:
-        for totals, seat in zip(stats.values(), counters):
-            for key, value in seat.items():
-                totals[key] = totals.get(key, 0) + value
-    return stats
+def sum_counters(*registries) -> dict:
+    """Key-wise sum of flat counter dicts (a missing key counts 0)."""
+    total: dict = {}
+    for registry in registries:
+        for key, value in registry.items():
+            total[key] = total.get(key, 0) + value
+    return total
 
 
 @dataclass
@@ -438,7 +411,7 @@ class RunRecord:
     stats: RunStats
     #: Uid of the seat (its fault scope) that executed the item.
     seat: object
-    counters: Optional[LayerCounters] = None
+    counters: Optional[dict] = None
 
     def __reduce__(self):
         # A forked seat's reply crosses its pipe as builtins only (see
@@ -449,7 +422,7 @@ class RunRecord:
             [wire_fields(child) for child in self.children],
             vars(self.stats),
             self.seat,
-            self.counters and tuple(self.counters),
+            self.counters,
         )
 
 
@@ -460,7 +433,7 @@ def _record_from_wire(path, resumed_instret, children, stats, seat, counters):
         [from_wire_fields(WorkItem, child) for child in children],
         RunStats(**stats),
         seat,
-        counters and LayerCounters(*counters),
+        counters,
     )
 
 
@@ -574,31 +547,28 @@ class SeatRunner:
         )
         return RunRecord(path, run.resumed_instret, children, stats, self.uid)
 
-    def counters(self) -> LayerCounters:
-        """Copies of the seat's cumulative layer counters."""
-        solver_stats = getattr(self.solver, "pipeline_statistics", None)
-        if solver_stats is None:
-            solver_stats = {"sat_core_solves": self.solver.num_solves}
+    def counters(self) -> dict:
+        """A copy of the seat's cumulative counters, one flat dict.
+
+        The solver's keys (``cache_*``, ``sat_*``, ``store_*``,
+        ``certified_*`` and the pipeline's) never collide with the
+        executor's ``snap_*`` / ``sb_*`` or the governor's ``gov_*``
+        keys, so seats and journals sum the dict by name.
+        """
+        stats = getattr(self.solver, "pipeline_statistics", None)
+        if stats is None:
+            counters = {"sat_core_solves": self.solver.num_solves}
+        else:
+            counters = dict(stats)
         executor = self.executor
-        snapshot_stats = getattr(executor, "snapshot_statistics", None)
-        if snapshot_stats is not None and self.snapshots:
-            snapshot_stats = dict(snapshot_stats)
-            snapshot_stats["snap_cross_worker_items"] = self.cross_seat_items
-        else:
-            snapshot_stats = {}
-        superblock_stats = getattr(executor, "superblock_statistics", None)
-        if superblock_stats is not None and getattr(
-            executor, "superblocks_enabled", False
-        ):
-            superblock_stats = dict(superblock_stats)
-        else:
-            superblock_stats = {}
-        return LayerCounters(
-            dict(solver_stats),
-            snapshot_stats,
-            superblock_stats,
-            dict(self.governor.statistics) if self.governor is not None else {},
-        )
+        if self.snapshots:
+            counters.update(executor.snapshot_statistics)
+            counters["snap_cross_worker_items"] = self.cross_seat_items
+        if getattr(executor, "superblocks_enabled", False):
+            counters.update(executor.superblock_statistics)
+        if self.governor is not None:
+            counters.update(self.governor.statistics)
+        return counters
 
 
 class _InProcessSeat:
@@ -876,7 +846,7 @@ class Explorer:
                         frontier.items() + list(in_flight.values()),
                         seen_digests,
                         complete=False,
-                        **_journal_stats(result, seats.counters()),
+                        counters=sum_counters(result.counters, *seats.counters()),
                     )
                 if faults is not None and faults.interrupt_after is not None:
                     if result.num_paths >= faults.interrupt_after:
@@ -887,18 +857,14 @@ class Explorer:
             seats.close()
         result.truncated = dropped or bool(frontier)
         result.frontier_peak = max(frontier.peak, result.frontier_peak)
-        for counters in seats.counters():
-            result.merge_solver_stats(counters.solver)
-            result.merge_snapshot_stats(counters.snapshot)
-            result.merge_superblock_stats(counters.superblock)
-            result.merge_governor_stats(counters.governor)
+        result.counters = sum_counters(result.counters, *seats.counters())
         if manager is not None:
             manager.save(
                 result,
                 frontier.items() + list(in_flight.values()),
                 seen_digests,
                 complete=not frontier and not in_flight and not result.interrupted,
-                **_journal_stats(result, ()),
+                counters=result.counters,
             )
         if result.deadline_expired:
             # Anytime accounting: drained frontier plus still-in-flight

@@ -13,11 +13,11 @@ dispatches to the :class:`ForkedSeats` of this module:
   (solver, query cache, explored-prefix trie), executes the run,
   performs the branch-flip expansion locally, and ships back one
   :class:`~repro.core.explorer.RunRecord`: the path, the newly
-  discovered frontier entries, exact per-run solver stats and its
-  cumulative layer counters,
-* the coordinator records paths, aggregates statistics, scores coverage
-  novelty against the global covered-branch set, and pushes the new
-  work items — exactly as it does for the in-process seat.
+  discovered frontier entries, exact per-run solver stats and the
+  seat's cumulative counters as one flat name-keyed dict,
+* the coordinator records paths, sums the seats' counter dicts by name,
+  scores coverage novelty against the global covered-branch set, and
+  pushes the new work items — exactly as it does for the in-process seat.
 
 **Supervision.**  Task queues are per-worker so the parent always
 knows which item each worker holds.  A worker that dies mid-item (OOM
@@ -30,7 +30,7 @@ item only after :data:`MAX_ITEM_FAILURES` deaths *while holding it* —
 recorded as an ``incomplete_paths`` count, never a silent loss.  Fresh
 uids matter twice: a stale ``(uid, handle)`` snapshot reference can
 never alias the respawned worker's pool, and the dead incarnation's
-last cumulative stats dict is preserved rather than overwritten.
+last cumulative counter dict is preserved rather than overwritten.
 
 Workers are created with the ``fork`` start method so they inherit the
 :class:`~repro.core.explorer.Explorer` (executor, ISA, image,
@@ -141,7 +141,7 @@ def _worker_main(explorer, worker_uid, task_queue, reply_conn):
     per incarnation a crash can only ever truncate that worker's own
     stream, which the supervisor treats as a lost item.  ``None`` on
     the task queue shuts the worker down.  Every record carries the
-    incarnation's cumulative layer counters (see
+    incarnation's cumulative counter dict (see
     :class:`~repro.core.explorer.RunRecord`).
 
     The explorer's ``faults`` (a :class:`repro.core.faults.FaultPlan`
@@ -259,7 +259,7 @@ class ForkedSeats:
         self.context = multiprocessing.get_context("fork")
         self._next_uid = explorer.jobs - 1
         self.slots = [self._spawn(uid) for uid in range(explorer.jobs)]
-        # Latest cumulative layer counters per incarnation uid.  Keyed
+        # Latest cumulative counter dict per incarnation uid.  Keyed
         # by uid, so a respawned seat never overwrites its dead
         # predecessor's final totals.
         self._counters: dict = {}

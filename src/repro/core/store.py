@@ -39,7 +39,6 @@ store offline with the same validators.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -49,6 +48,7 @@ from ..smt import terms as T
 from ..smt.digest import store_key, term_digest
 from ..smt.evalbv import EvalError, evaluate
 from ..smt.solver import Model, Result, Solver
+from .checkpoint import state_digest
 
 __all__ = [
     "ArtifactStore",
@@ -63,12 +63,6 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _KEY_HEX = 32  # blake2b digest_size=16 as hex
-
-
-def state_digest(state: dict) -> str:
-    """Digest of a file's state block (checkpoint.py's canonical form)."""
-    encoded = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(encoded.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def read_wrapper(path: str) -> dict:

@@ -201,9 +201,9 @@ def measure_pipeline(
         "cache_hits": result.cache_hits,
         "fast_path": result.fast_path_answers,
         "sat_core_solves": result.sat_solves,
-        "slices": result.solver_stats.get("slices", 0),
-        "subsumption_hits": result.solver_stats.get("cache_subsumption_hits", 0),
-        "unsat_cores": result.solver_stats.get("unsat_cores", 0),
+        "slices": result.counters.get("slices", 0),
+        "subsumption_hits": result.counters.get("cache_subsumption_hits", 0),
+        "unsat_cores": result.counters.get("unsat_cores", 0),
         # Degradation accounting (the fault-tolerance contract): queries
         # the solver abandoned on budget exhaustion, and frontier items
         # abandoned after repeated worker deaths.  Both are zero in a
@@ -225,24 +225,24 @@ def measure_pipeline(
         # pool evictions that forced re-execution fallbacks.
         "resumed_runs": result.resumed_runs,
         "saved_instructions": result.saved_instructions,
-        "pool_evictions": result.snapshot_stats.get("snap_pool_evictions", 0),
+        "pool_evictions": result.counters.get("snap_pool_evictions", 0),
         # Superblock layer (all zero for engines without superblock
         # support or with --no-superblocks): block dispatches and the
         # deoptimizations back to the per-instruction path (fuel guards
         # plus self-modifying-code invalidations).
-        "superblock_hits": result.superblock_stats.get("sb_hits", 0),
-        "superblock_deopts": result.superblock_stats.get("sb_deopts", 0)
-        + result.superblock_stats.get("sb_invalidations", 0),
+        "superblock_hits": result.counters.get("sb_hits", 0),
+        "superblock_deopts": result.counters.get("sb_deopts", 0)
+        + result.counters.get("sb_invalidations", 0),
         # Evidence layer (all zero unless certify mode is on): answers
         # certified (DRAT-checked UNSAT proofs plus re-evaluated SAT
         # models), paths whose certificates replayed identically under
         # the reference evaluator, and cache entries quarantined by a
         # failed verify-on-hit integrity check.
-        "certified": result.solver_stats.get("certified_sat", 0)
-        + result.solver_stats.get("certified_unsat", 0),
+        "certified": result.counters.get("certified_sat", 0)
+        + result.counters.get("certified_unsat", 0),
         "checked_paths": result.certified_paths,
-        "quarantined": result.solver_stats.get("cache_quarantines", 0),
-        "certify_failures": result.solver_stats.get("certify_failures", 0)
+        "quarantined": result.counters.get("cache_quarantines", 0),
+        "certify_failures": result.counters.get("certify_failures", 0)
         + result.certificate_failures,
         # Persistent store tier (all zero without --store): verified
         # warm hits served from disk, files that failed verification

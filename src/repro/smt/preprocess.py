@@ -51,8 +51,9 @@ class PreprocessConfig:
     ``certify`` (``--certify``) turns on the checks — every UNSAT core
     is validated by the independent RUP checker in
     :mod:`repro.smt.drat` and every SAT model is evaluated against the
-    original conjuncts before anything is cached or reported.  A failed check is never trusted: the entry
-    is quarantined, the query re-solved, and the failure counted.
+    original conjuncts before anything is cached or reported.  A failed
+    check is never trusted: the answer is downgraded to UNKNOWN and the
+    failure counted.
     Under ``certify`` the CDCL core keeps a DRAT-style clause log
     (learned additions + deletions) so UNSAT answers carry a checkable
     derivation; ``proof_log=False`` (``--no-proof-log``) drops it and

@@ -145,6 +145,9 @@ class Solver:
         self._last_result: Optional[Result] = None
         self._unsat_cores = unsat_cores
         self._has_assertions = False
+        #: Terms were asserted via :meth:`add`: the formula is no longer
+        #: the assumptions alone, so a model cannot be checked against it.
+        self._asserted = False
         #: After an UNSAT ``check``: the subset of the assumption terms
         #: whose conjunction is already unsatisfiable, or None when no
         #: core could be attributed (scopes active, cores disabled, or
@@ -186,6 +189,7 @@ class Solver:
         else:
             self._sat.add_clause([lit])
         self._has_assertions = True
+        self._asserted = True
         self._last_result = None
 
     def set_fault_hook(self, hook) -> None:
@@ -295,9 +299,10 @@ class Solver:
 
         Only assumption-style queries are checkable — terms asserted
         via :meth:`add` (or scoped) are not reconstructable here, so
-        those checks pass through unverified rather than failing.
+        those checks pass through unverified rather than failing.  A
+        popped scope asserted nothing that survives, so it is checked.
         """
-        if self._has_assertions or self._scopes:
+        if self._asserted or self._scopes:
             return True
         model = self.model()
         try:
@@ -422,12 +427,11 @@ class QueryCache:
     exploration worker therefore owns one ``QueryCache``.
 
     Entries carry blake2b *integrity digests* taken at store time and
-    re-checked on hit (every ``verify_period``-th verification
-    opportunity; the default of 1 checks every hit).  A hit whose
-    content no longer matches its digest is **quarantined**: the entry
-    is dropped, the lookup falls through to the remaining tiers (or a
-    fresh solve), and the event is counted in ``quarantines`` — a
-    poisoned answer is re-derived, never served.  Digests hash interned
+    re-checked on every hit.  A hit whose content no longer matches its
+    digest is **quarantined**: the entry is dropped, the lookup falls
+    through to the remaining tiers (or a fresh solve), and the event is
+    counted in ``quarantines`` — a poisoned answer is re-derived, never
+    served.  Digests hash interned
     term identities, which is exactly as process-local as the keys
     themselves.  :meth:`set_corruptor` is the fault-injection seam that
     poisons entries *after* digesting, so the chaos harness can prove
@@ -439,7 +443,6 @@ class QueryCache:
         max_models: int = 8,
         max_unsat_sets: int = 512,
         max_entries: int = 100_000,
-        verify_period: int = 1,
     ):
         self._results: dict[frozenset, Result] = {}
         self._models: dict[frozenset, Model] = {}
@@ -459,8 +462,6 @@ class QueryCache:
         #: Integrity digests: per memo key and per UNSAT-set id.
         self._digests: dict[frozenset, bytes] = {}
         self._unsat_digests: dict[int, bytes] = {}
-        self._verify_period = max(0, verify_period)
-        self._verify_tick = 0
         self._corruptor = None
         self._store_seq = 0
         #: Optional persistent tier (:class:`repro.core.store.ArtifactStore`);
@@ -551,13 +552,6 @@ class QueryCache:
             hasher.update(b"%d;" % digest)
         return hasher.digest()
 
-    def _should_verify(self) -> bool:
-        """Sampling gate: verify every ``verify_period``-th opportunity."""
-        if self._verify_period <= 0:
-            return False
-        self._verify_tick += 1
-        return self._verify_tick % self._verify_period == 0
-
     def _corrupt(self, kind: str) -> bool:
         """Fault seam: should the entry just stored be poisoned?"""
         if self._corruptor is None:
@@ -578,7 +572,7 @@ class QueryCache:
     def _verify_entry(self, key: frozenset, cached: Result) -> bool:
         """Digest-check a memo hit; quarantine and report False on rot."""
         digest = self._digests.get(key)
-        if digest is None or not self._should_verify():
+        if digest is None:
             return True
         self.integrity_checks += 1
         if cached is Result.SAT:
@@ -601,7 +595,7 @@ class QueryCache:
     def _verify_unsat_set(self, set_id: int) -> bool:
         """Digest-check one subsumption candidate; quarantine on rot."""
         digest = self._unsat_digests.get(set_id)
-        if digest is None or not self._should_verify():
+        if digest is None:
             return True
         self.integrity_checks += 1
         if self._set_digest(self._unsat_sets[set_id]) == digest:
@@ -780,15 +774,14 @@ class QueryCache:
             variables |= term.free_vars()
         for entry in list(self._model_pool):
             values, digest = entry
-            if self._should_verify():
-                self.integrity_checks += 1
-                if self._values_digest("pool", values.items()) != digest:
-                    self.quarantines += 1
-                    try:
-                        self._model_pool.remove(entry)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                    continue
+            self.integrity_checks += 1
+            if self._values_digest("pool", values.items()) != digest:
+                self.quarantines += 1
+                try:
+                    self._model_pool.remove(entry)
+                except ValueError:  # pragma: no cover - defensive
+                    pass
+                continue
             completed = {var: values.get(var, 0) for var in variables}
             try:
                 # Evaluate back-to-front: branch-flip queries put the
@@ -876,7 +869,6 @@ PIPELINE_COUNTERS = (
     "queries",
     "slices",
     "joint_solves",
-    "verify_fallbacks",
     "fast_path_queries",
     "unsat_cores",
     "core_conjuncts_dropped",
@@ -924,7 +916,6 @@ class CachingSolver(Solver):
         )
         self.cache = cache if cache is not None else QueryCache()
         self.preprocess = config
-        self._tainted = False
         self._reused_model: Optional[Model] = None
         self.fast_path_answers = 0
         self.pipeline_stats: dict[str, int] = dict.fromkeys(PIPELINE_COUNTERS, 0)
@@ -957,10 +948,6 @@ class CachingSolver(Solver):
             stats.update(self.cache.store.statistics)
         return stats
 
-    def add(self, term: Term) -> None:
-        self._tainted = True
-        super().add(term)
-
     # ------------------------------------------------------------------
     # The pipelined check
     # ------------------------------------------------------------------
@@ -968,7 +955,7 @@ class CachingSolver(Solver):
     def check(self, assumptions: Iterable[Term] = ()) -> Result:
         conditions = list(assumptions)
         self._reused_model = None
-        if self._tainted or self._scopes:
+        if self._asserted or self._scopes:
             return super().check(conditions)
         key_terms = []
         seen: set = set()
@@ -1066,39 +1053,12 @@ class CachingSolver(Solver):
         if verdict is Result.UNSAT:
             return self._store_unsat(key)
 
-        # Extract every slice from the joint assignment *before* any
-        # certify re-solve: a re-solve replaces the SAT core's
-        # assignment, which must not leak into other slices.
-        certify = self.preprocess.certify
-        extracted = [
-            (key, conds, self._slice_values(conds, self.value_of))
-            for key, conds in pending
-        ]
-        for key, conds, values in extracted:
-            if certify and not self._satisfied(values, conds):
-                # The slice model fails its own conjuncts under the
-                # reference evaluator: never trusted — re-solve the
-                # slice exactly.
-                self.certify_failures += 1
-                stats["verify_fallbacks"] += 1
-                verdict = super().check(conds)
-                if verdict is Result.UNKNOWN:
-                    stats["unknown_queries"] += 1
-                    return Result.UNKNOWN
-                if verdict is Result.UNSAT:
-                    return self._store_unsat(key)
-                values = self._slice_values(conds, self.value_of)
-                if not self._satisfied(values, conds):
-                    # Even the dedicated re-solve fails the reference
-                    # evaluator: give the query up, explicitly counted.
-                    self.certify_failures += 1
-                    stats["unknown_queries"] += 1
-                    return Result.UNKNOWN
-            if certify:
-                self.certified_sat += 1
+        # Certify mode already evaluated the joint model against every
+        # conjunct in the core check (Solver._certify_sat_model).
+        for key, conds in pending:
+            values = self._slice_values(conds, self.value_of)
             self.cache.store_sat(key, Model(values))
             stitched.update(values)
-        self._last_result = Result.SAT
         return Result.SAT
 
     @staticmethod
@@ -1112,13 +1072,6 @@ class CachingSolver(Solver):
                     value = lookup(var)
                     values[var] = value if value is not None else 0
         return values
-
-    @staticmethod
-    def _satisfied(values: dict[Term, int], conds: list) -> bool:
-        try:
-            return all(evaluate(cond, values) for cond in conds)
-        except EvalError:  # pragma: no cover - defensive
-            return False
 
     def model(self) -> Model:
         if self._reused_model is not None:

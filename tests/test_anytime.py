@@ -276,7 +276,7 @@ class TestMemoryGovernor:
         ).explore()
         assert squeezed.path_set() == baseline.path_set()
         assert squeezed.degradations >= 1
-        assert squeezed.governor_stats["gov_pressure_events"] >= 1
+        assert squeezed.counters["gov_pressure_events"] >= 1
         assert "memory degradations" in squeezed.summary()
 
     @needs_fork
@@ -329,19 +329,16 @@ class TestAnytimeCheckpointCounters:
             ).explore()
             assert result.degradations >= 1
             state = CheckpointManager(tmp, strategy="dfs", seed=0).load()
-            assert state.counters["degradations"] == result.degradations
-            assert state.counters["hung_workers"] == 0
-            assert (
-                state.governor_stats["gov_rungs_applied"]
-                == result.degradations
-            )
+            assert state.counters["gov_rungs_applied"] == result.degradations
+            assert state.totals["hung_workers"] == 0
 
     def test_intermediate_journal_carries_live_layer_counters(
         self, monkeypatch, tmp_path
     ):
         """Every save, not only the final one, stores the seats' live
         snapshot, superblock and governor counters: a campaign killed
-        between saves resumes with the counters its runs accrued."""
+        between saves resumes with the counters its runs accrued, and
+        its ``degradations`` are exactly the governor rungs counted."""
         from repro.core import BinSymExecutor
         from repro.core.checkpoint import CheckpointManager
         from repro.core.explorer import ExplorationResult
@@ -350,11 +347,14 @@ class TestAnytimeCheckpointCounters:
 
         executor = BinSymExecutor(rv32im(), WORKLOADS["bubble-sort"].image(4))
         copies = []
+        journals = []
         save = CheckpointManager.save
 
         def copy_after_save(manager, result, pending, digests, complete, **stats):
             save(manager, result, pending, digests, complete, **stats)
             if not complete:
+                with open(manager.path, encoding="utf-8") as handle:
+                    journals.append(handle.read())
                 copies.append((
                     CheckpointManager(str(tmp_path), "dfs", 0).load(),
                     dict(executor.snapshot_statistics),
@@ -372,13 +372,34 @@ class TestAnytimeCheckpointCounters:
         assert result.num_paths == 24
         assert [len(state.paths) for state, _, _ in copies] == [5, 10, 15, 20]
         for state, snapshot, superblock in copies:
-            journal = dict(state.snapshot_stats)
+            journal = {
+                k: v for k, v in state.counters.items() if k.startswith("snap_")
+            }
             del journal["snap_cross_worker_items"]
             assert journal == snapshot and snapshot["snap_resumed_runs"] > 0
-            assert state.superblock_stats == superblock
-            rungs = state.governor_stats["gov_rungs_applied"]
+            assert {
+                k: v for k, v in state.counters.items() if k.startswith("sb_")
+            } == superblock
+            rungs = state.counters["gov_rungs_applied"]
             assert rungs >= 1
             # Resuming from this journal counts every rung it recorded.
             restored = ExplorationResult()
             state.restore_result(restored)
             assert restored.degradations == rungs
+
+        # Resume a real campaign from the 10-path journal, still under the
+        # budget: the rungs it applies add to the restored ones.
+        monkeypatch.setattr(CheckpointManager, "save", save)
+        campaign = tmp_path / "resumed"
+        campaign.mkdir()
+        (campaign / "checkpoint.json").write_text(journals[1], encoding="utf-8")
+        resumed = Explorer(
+            BinSymExecutor(rv32im(), WORKLOADS["bubble-sort"].image(4)),
+            use_cache=True,
+            checkpoint_dir=str(campaign),
+            resume=True,
+            memory_budget_mb=0,
+        ).explore()
+        assert resumed.path_set() == result.path_set()
+        assert resumed.degradations == resumed.counters["gov_rungs_applied"]
+        assert resumed.degradations > copies[1][0].counters["gov_rungs_applied"]

@@ -23,8 +23,9 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.explorer import make_solver
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
+from repro.smt import terms as T
 from repro.smt.preprocess import PreprocessConfig
-from repro.smt.solver import CachingSolver
+from repro.smt.solver import CachingSolver, Result, Solver
 from repro.spec import rv32im
 
 SOURCE = """\
@@ -74,7 +75,7 @@ class TestCertifyMode:
         assert result.certificate_failures == 0
         assert result.certificate_errors == []
         assert len(result.certificates) == 4
-        stats = result.solver_stats
+        stats = result.counters
         assert stats.get("certified_sat", 0) + stats.get("certified_unsat", 0) > 0
         assert stats.get("certify_failures", 0) == 0
 
@@ -115,6 +116,32 @@ class TestCertifyMode:
         assert isinstance(make_solver(False, certify)._sat.proof, list)
         unlogged = PreprocessConfig(certify=True, proof_log=False)
         assert CachingSolver(preprocess=unlogged)._sat.proof is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_sat_answer_certified_once(self, jobs):
+        """The core check evaluates the joint model once; splitting it
+        into per-slice cache entries neither re-checks nor re-counts."""
+        result = explore(certify=True, jobs=jobs, workload="bubble-sort")
+        assert result.sat_checks > 0
+        assert result.counters["certified_sat"] == result.sat_checks
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Solver(certify=True),
+            lambda: CachingSolver(preprocess=PreprocessConfig(certify=True)),
+        ],
+        ids=["plain", "caching"],
+    )
+    def test_model_checked_after_empty_scope(self, make):
+        """A popped scope asserted nothing that survives, so the SAT
+        model is still evaluated against the query, once."""
+        solver = make()
+        x = T.bv_var("x", 8)
+        solver.push()
+        solver.pop()
+        assert solver.check([T.eq(x, T.bv(5, 8))]) is Result.SAT
+        assert solver.certified_sat == 1
 
     def test_condition_digests_recorded_only_when_certifying(self):
         certified = explore(certify=True)
@@ -228,7 +255,7 @@ class TestCorruptionChaos:
             faulted = explore(workload="uri-parser", faults=plan)
             assert faulted.path_set() == clean.path_set()
             assert self.attribution(faulted) == self.attribution(clean)
-            quarantines += faulted.solver_stats.get("cache_quarantines", 0)
+            quarantines += faulted.counters.get("cache_quarantines", 0)
         assert quarantines > 0
 
     def test_corruption_parallel(self):
@@ -236,7 +263,7 @@ class TestCorruptionChaos:
         plan = FaultPlan(seed=1, corrupt_rate=40)
         faulted = explore(workload="bubble-sort", jobs=2, faults=plan)
         assert faulted.path_set() == clean.path_set()
-        assert faulted.solver_stats.get("cache_corruptions", 0) > 0
+        assert faulted.counters.get("cache_corruptions", 0) > 0
 
     def test_corruption_with_certify(self):
         # Belt and braces: even with poisoning active, certify mode

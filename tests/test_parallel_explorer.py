@@ -11,7 +11,10 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer, FaultPlan, ProcessPoolExplorer
+from repro.core.explorer import ExplorationResult, SeatRunner
 from repro.core.parallel import MAX_ITEM_FAILURES, default_jobs
+from repro.core.scheduler import WorkItem
+from repro.core.state import InputAssignment
 from repro.eval.engines import make_engine
 from repro.eval.query_stats import RecordingSolver
 from repro.eval.workloads import WORKLOADS
@@ -289,3 +292,36 @@ class TestQueryDigest:
         assert query_digest([a, b]) != query_digest([b, a])
         assert query_digest([a]) != query_digest([b])
         assert query_digest([a, b]) == query_digest([a, b])
+
+
+class TestCounterRegistry:
+    def test_layer_keys_are_disjoint(self, tmp_path):
+        """Seats and journals sum one flat counter dict by name, so the
+        layers' key sets must never overlap (a collision would silently
+        add two unrelated counters), and each layer keeps its prefix."""
+        explorer = Explorer(
+            build_executor(PIN_CHECK),
+            use_cache=True,
+            memory_budget_mb=0,
+            store_dir=str(tmp_path),
+        )
+        runner = SeatRunner(explorer, "serial", explorer.solver, False)
+        runner.run(WorkItem(InputAssignment(), 0), ())
+        runner.governor.check_interval = 1
+        for _ in range(3):
+            runner.governor.maybe_step()
+        executor = explorer.executor
+        layers = {
+            "": set(explorer.solver.pipeline_statistics),
+            "snap_": set(executor.snapshot_statistics) | {"snap_cross_worker_items"},
+            "sb_": set(executor.superblock_statistics),
+            "gov_": set(runner.governor.statistics),
+        }
+        assert any(key.startswith("store_") for key in layers[""])
+        assert any(key.startswith("gov_rung_") for key in layers["gov_"])
+        names = [key for keys in layers.values() for key in keys]
+        assert len(names) == len(set(names))
+        result = ExplorationResult(counters=runner.counters())
+        assert set(result.counters) == set(names)
+        for prefix, keys in layers.items():
+            assert set(result.layer(prefix)) == keys

@@ -290,9 +290,9 @@ class TestExplorationAblations:
             result.num_queries + result.cache_hits + result.fast_path_answers
         )
         assert answered > 0
-        assert result.solver_stats["queries"] == answered
+        assert result.counters["queries"] == answered
         # Fewer core solves than answered queries: the cache earns rent.
-        assert result.solver_stats["sat_core_solves"] == result.sat_solves
+        assert result.counters["sat_core_solves"] == result.sat_solves
         assert result.sat_solves < answered
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -304,5 +304,5 @@ class TestExplorationAblations:
         answered = (
             result.num_queries + result.cache_hits + result.fast_path_answers
         )
-        assert result.solver_stats["queries"] == answered
-        assert result.solver_stats["sat_core_solves"] == result.sat_solves
+        assert result.counters["queries"] == answered
+        assert result.counters["sat_core_solves"] == result.sat_solves

@@ -333,9 +333,9 @@ class TestSnapshotDifferential:
         reference = _explore(image, snapshots=False)
         assert starved.path_set() == reference.path_set()
         assert _attribution(starved) == _attribution(reference)
-        assert starved.snapshot_stats["snap_pool_evictions"] > 0
-        assert starved.snapshot_stats["snap_fallback_runs"] > 0
-        assert starved.resumed_runs + starved.snapshot_stats[
+        assert starved.counters["snap_pool_evictions"] > 0
+        assert starved.counters["snap_fallback_runs"] > 0
+        assert starved.resumed_runs + starved.counters[
             "snap_fallback_runs"
         ] == starved.num_paths - 1
 
@@ -492,7 +492,7 @@ class TestPlumbing:
         """--no-snapshots: no snapshot stats block, serial == parallel."""
         image = WORKLOADS["uri-parser"].image()
         result = _explore(image, snapshots=False)
-        assert result.snapshot_stats == {}
+        assert result.layer("snap_") == {}
         assert result.resumed_runs == 0
 
     def test_oversized_state_disables_capture(self):
@@ -505,7 +505,7 @@ class TestPlumbing:
         reference = _explore(image, snapshots=False)
         assert result.path_set() == reference.path_set()
         assert _attribution(result) == _attribution(reference)
-        assert result.snapshot_stats["snap_captured"] == 0
+        assert result.counters["snap_captured"] == 0
         assert result.resumed_runs == 0
         # The rejected attempt released its page references, so the
         # live memory is not left copy-on-write-protected forever.
@@ -545,6 +545,6 @@ class TestPlumbing:
         image = WORKLOADS["uri-parser"].image()
         engine = make_engine("binsec", rv32im(), image)
         result = Explorer(engine, use_cache=True, snapshots=True).explore()
-        assert result.snapshot_stats == {}
+        assert result.layer("snap_") == {}
         assert result.resumed_runs == 0
         assert result.executed_instructions == result.total_instructions

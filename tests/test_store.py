@@ -215,7 +215,7 @@ class TestWarmExploration:
         with tempfile.TemporaryDirectory() as tmp:
             cold = self._explore(tmp)
             assert cold.path_set() == baseline.path_set()
-            cold_solves = cold.solver_stats.get("sat_core_solves", 0)
+            cold_solves = cold.counters.get("sat_core_solves", 0)
             assert cold_solves > 0
             # Fresh interner = the next process of a restart: content
             # digests must re-address every artifact the cold run wrote.
@@ -224,7 +224,7 @@ class TestWarmExploration:
         assert warm.path_set() == baseline.path_set()
         assert warm.store_hits > 0
         assert warm.store_quarantines == 0 and warm.store_disabled == 0
-        assert warm.solver_stats.get("sat_core_solves", 0) < cold_solves
+        assert warm.counters.get("sat_core_solves", 0) < cold_solves
         # Attribution conservation: a warm hit is a cache hit, so the
         # total answered work is identical between cold and warm.
         def attribution(result):

@@ -347,7 +347,7 @@ low:
         assert on.path_set() == off.path_set()
         assert _attribution(on) == _attribution(off)
         assert _assignments(on) == _assignments(off)
-        assert on.superblock_stats.get("sb_invalidations", 0) >= 1
+        assert on.counters.get("sb_invalidations", 0) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ class TestSuperblockDifferential:
         # subset of the unchanged architectural totals.
         assert on.superblock_hits > 0
         assert 0 < on.superblock_instructions <= on.total_instructions
-        assert off.superblock_stats == {}
+        assert off.layer("sb_") == {}
 
     def test_randomized_strategies_and_seeds(self):
         rng = random.Random(6)
@@ -470,7 +470,7 @@ class TestSuperblockDifferential:
             assert answered == serial_answered, superblocks
             assert result.total_instructions == serial.total_instructions
             if superblocks:
-                assert result.superblock_stats.get("sb_hits", 0) > 0
+                assert result.counters.get("sb_hits", 0) > 0
 
     @pytest.mark.parametrize("snapshots", [True, False])
     def test_composes_with_snapshot_ablation(self, snapshots):
@@ -489,4 +489,4 @@ class TestSuperblockDifferential:
         quantum on its TLM bus; superblocks stay off by construction."""
         image = WORKLOADS["uri-parser"].image()
         result = _explore(image, True, engine_cls=VpExecutor)
-        assert result.superblock_stats == {}
+        assert result.layer("sb_") == {}

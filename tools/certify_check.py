@@ -7,7 +7,8 @@ pool — and the gate asserts the full evidence contract:
 * every UNSAT answer the SAT core produced was certified by the
   independent DRAT checker (``certify_failures == 0``),
 * every SAT model was re-evaluated against its query before being
-  trusted,
+  trusted, exactly once per SAT answer
+  (``certified_sat == sat_checks``),
 * every recorded path's certificate (inputs, observable outcome,
   path-condition digest chain) replayed identically under the unstaged
   reference evaluator (``certified_paths == num_paths``), and
@@ -85,11 +86,17 @@ def check_certified(workload: str, baseline, certified, label: str) -> list[str]
             f"{workload} [{label}]: {certified.certificate_failures} "
             f"certificate failure(s): {certified.certificate_errors[:3]}"
         )
-    stats = certified.solver_stats
+    stats = certified.counters
     if stats.get("certify_failures", 0):
         errors.append(
             f"{workload} [{label}]: {stats['certify_failures']} solver "
             f"answer(s) failed certification"
+        )
+    if stats.get("certified_sat", 0) != certified.sat_checks:
+        errors.append(
+            f"{workload} [{label}]: {stats.get('certified_sat', 0)} SAT models "
+            f"certified for {certified.sat_checks} SAT answers — each answer "
+            f"must be checked exactly once"
         )
     if not (stats.get("certified_sat", 0) or stats.get("certified_unsat", 0)):
         errors.append(
@@ -110,7 +117,7 @@ def run_gate(jobs: int) -> int:
             ).explore()
             errors = check_certified(workload, baseline, certified, label)
             failures.extend(errors)
-            stats = certified.solver_stats
+            stats = certified.counters
             status = "FAIL" if errors else "ok"
             print(
                 f"  {status:4s} {workload:16s} {label:8s} "

@@ -184,16 +184,16 @@ def run_corruption_gate(seeds: int, jobs: int) -> int:
                     workload, clean, corrupted, f"{label} seed={seed}"
                 )
                 failures.extend(errors)
-                quarantines += corrupted.solver_stats.get("cache_quarantines", 0)
-                corruptions += corrupted.solver_stats.get("cache_corruptions", 0)
+                quarantines += corrupted.counters.get("cache_quarantines", 0)
+                corruptions += corrupted.counters.get("cache_corruptions", 0)
                 status = "FAIL" if errors else "ok"
                 print(
                     f"  {status:4s} {workload:16s} {label:8s} seed={seed} "
                     f"paths={corrupted.num_paths}/{clean.num_paths} "
                     f"corruptions="
-                    f"{corrupted.solver_stats.get('cache_corruptions', 0)} "
+                    f"{corrupted.counters.get('cache_corruptions', 0)} "
                     f"quarantines="
-                    f"{corrupted.solver_stats.get('cache_quarantines', 0)}"
+                    f"{corrupted.counters.get('cache_quarantines', 0)}"
                 )
         if corruptions and not quarantines:
             failures.append(
@@ -421,14 +421,14 @@ def run_store_gate(seeds: int, jobs: int) -> int:
                 failures.append(
                     f"{workload} [cold]: --store changed the path set"
                 )
-            cold_solves = cold.solver_stats.get("sat_core_solves", 0)
+            cold_solves = cold.counters.get("sat_core_solves", 0)
             for label, n_jobs in (("warm", 1), (f"warm jobs={jobs}", jobs)):
                 T.reset_interner()
                 warm = build_explorer(
                     workload, jobs=n_jobs, store_dir=store_dir
                 ).explore()
                 errors = check_corruption_invariant(workload, clean, warm, label)
-                warm_solves = warm.solver_stats.get("sat_core_solves", 0)
+                warm_solves = warm.counters.get("sat_core_solves", 0)
                 if warm.store_hits == 0:
                     errors.append(
                         f"{workload} [{label}]: no warm hits served"
@@ -530,7 +530,7 @@ def run_store_gate(seeds: int, jobs: int) -> int:
             print(
                 f"  {status:4s} {workload:16s} wiped          "
                 f"paths={resumed.num_paths}/{clean.num_paths} "
-                f"stores={resumed.solver_stats.get('store_stores', 0)}"
+                f"stores={resumed.counters.get('store_stores', 0)}"
             )
         print(
             f"{workload}: {clean.num_paths} clean paths, "
